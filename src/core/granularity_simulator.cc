@@ -28,10 +28,6 @@ struct GranularitySimulator::Txn {
   workload::TransactionParams params;
   double arrival_time = 0.0;  // first entry into the pending queue
   int64_t subtxns_remaining = 0;
-  // Nodes still owed their share of the current lock-processing phase
-  // (I/O, then CPU). Lives in the transaction so the fan-in completions
-  // capture only {this, txn} — no per-phase allocation.
-  int64_t lock_fanin_remaining = 0;
   std::vector<Txn*, util::ArenaAllocator<Txn*>> blocked;
 
   // Phase accounting (always on). The five per-txn phase values sum to
@@ -59,7 +55,6 @@ struct GranularitySimulator::Txn {
     id = 0;
     arrival_time = 0.0;
     subtxns_remaining = 0;
-    lock_fanin_remaining = 0;
     blocked.clear();
     pending_since = 0.0;
     lock_since = 0.0;
@@ -138,16 +133,8 @@ Result<SimulationMetrics> GranularitySimulator::Run() {
   active_.reserve(ntrans);
   live_txns_.reserve(ntrans + 1);
   txn_pool_.reserve(ntrans + 1);
-  cpu_.reserve(static_cast<size_t>(cfg_.npros));
-  io_.reserve(static_cast<size_t>(cfg_.npros));
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    cpu_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("cpu%lld", (long long)n)));
-    io_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("io%lld", (long long)n)));
-    cpu_.back()->SetBusyUnion(&cpu_union_);
-    io_.back()->SetBusyUnion(&io_union_);
-  }
+  cpu_.emplace(&sim_, "cpu", cfg_.npros);
+  io_.emplace(&sim_, "io", cfg_.npros);
 
   SetUpObservability();
 
@@ -167,18 +154,14 @@ Result<SimulationMetrics> GranularitySimulator::Run() {
 
   SimulationMetrics m;
   m.measured_time = cfg_.tmax - window_start_;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    m.totcpus_sum += cpu_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.totios_sum += io_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.lockcpus_sum +=
-        cpu_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-    m.lockios_sum +=
-        io_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-  }
-  m.totcpus = cpu_union_.AnyBusyTime(cfg_.tmax);
-  m.lockcpus = cpu_union_.LockBusyTime(cfg_.tmax);
-  m.totios = io_union_.AnyBusyTime(cfg_.tmax);
-  m.lockios = io_union_.LockBusyTime(cfg_.tmax);
+  m.totcpus_sum = cpu_->TotalBusyTimeSum();
+  m.totios_sum = io_->TotalBusyTimeSum();
+  m.lockcpus_sum = cpu_->LockBusyTimeSum();
+  m.lockios_sum = io_->LockBusyTimeSum();
+  m.totcpus = cpu_->busy_union().AnyBusyTime(cfg_.tmax);
+  m.lockcpus = cpu_->busy_union().LockBusyTime(cfg_.tmax);
+  m.totios = io_->busy_union().AnyBusyTime(cfg_.tmax);
+  m.lockios = io_->busy_union().LockBusyTime(cfg_.tmax);
   const double npros = static_cast<double>(cfg_.npros);
   m.usefulcpus = (m.totcpus - m.lockcpus) / npros;
   m.usefulios = (m.totios - m.lockios) / npros;
@@ -282,7 +265,7 @@ void GranularitySimulator::SampleTick() {
                          : 0.0);
   for (int64_t n = 0; n < cfg_.npros; ++n) {
     const size_t i = static_cast<size_t>(n);
-    const double busy = cpu_[i]->TotalBusyTime();
+    const double busy = cpu_->node(n).TotalBusyTime();
     row.push_back(dt > 0.0
                       ? std::max(0.0, busy - sample_cpu_busy_[i]) / dt
                       : 0.0);
@@ -290,7 +273,7 @@ void GranularitySimulator::SampleTick() {
   }
   for (int64_t n = 0; n < cfg_.npros; ++n) {
     const size_t i = static_cast<size_t>(n);
-    const double busy = io_[i]->TotalBusyTime();
+    const double busy = io_->node(n).TotalBusyTime();
     row.push_back(dt > 0.0 ? std::max(0.0, busy - sample_io_busy_[i]) / dt
                            : 0.0);
     sample_io_busy_[i] = busy;
@@ -348,8 +331,8 @@ void GranularitySimulator::PublishRunProfile(double wall_seconds) {
 }
 
 void GranularitySimulator::BeginMeasurement() {
-  for (auto& server : cpu_) server->ResetStats();
-  for (auto& server : io_) server->ResetStats();
+  cpu_->ResetStats();
+  io_->ResetStats();
   totcom_ = 0;
   lock_requests_ = 0;
   lock_denials_ = 0;
@@ -364,8 +347,6 @@ void GranularitySimulator::BeginMeasurement() {
   std::fill(sample_cpu_busy_.begin(), sample_cpu_busy_.end(), 0.0);
   std::fill(sample_io_busy_.begin(), sample_io_busy_.end(), 0.0);
   const double now = sim_.Now();
-  cpu_union_.ResetWindow(now);
-  io_union_.ResetWindow(now);
   active_stat_.ResetWindow(now);
   blocked_stat_.ResetWindow(now);
   pending_stat_.ResetWindow(now);
@@ -520,6 +501,8 @@ void GranularitySimulator::CheckConsistency() const {
   // the ground truth it summarizes.
   GRANULOCK_AUDIT_CHECK_EQ(active_lu_total_, lu_total)
       << "active_lu_total_ drifted from the sum over active_";
+  cpu_->CheckConsistency();
+  io_->CheckConsistency();
 }
 
 void GranularitySimulator::BeginLockRequest(Txn* txn) {
@@ -544,24 +527,14 @@ void GranularitySimulator::BeginLockRequest(Txn* txn) {
 
 void GranularitySimulator::StartLockIoPhase(Txn* txn) {
   // Lock-table I/O: the work is shared equally by all nodes' disks and
-  // served at preemptive priority. The phase ends when every node finishes
-  // its share.
+  // served at preemptive priority, as one lock epoch of the disk pool.
   const double per_node =
       txn->params.lock_io_demand / static_cast<double>(cfg_.npros);
   if (per_node <= 0.0) {
     StartLockCpuPhase(txn);
     return;
   }
-  // The fan-in counter lives in the transaction: the I/O and CPU lock
-  // phases never overlap for one transaction, so the field is free for
-  // reuse and the completion capture stays allocation-free.
-  txn->lock_fanin_remaining = cfg_.npros;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    io_[static_cast<size_t>(n)]->Submit(
-        ServiceClass::kLock, per_node, [this, txn] {
-          if (--txn->lock_fanin_remaining == 0) StartLockCpuPhase(txn);
-        });
-  }
+  io_->SubmitShared(per_node, [this, txn] { StartLockCpuPhase(txn); });
 }
 
 void GranularitySimulator::StartLockCpuPhase(Txn* txn) {
@@ -571,13 +544,7 @@ void GranularitySimulator::StartLockCpuPhase(Txn* txn) {
     FinishLockRequest(txn);
     return;
   }
-  txn->lock_fanin_remaining = cfg_.npros;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    cpu_[static_cast<size_t>(n)]->Submit(
-        ServiceClass::kLock, per_node, [this, txn] {
-          if (--txn->lock_fanin_remaining == 0) FinishLockRequest(txn);
-        });
-  }
+  cpu_->SubmitShared(per_node, [this, txn] { FinishLockRequest(txn); });
 }
 
 void GranularitySimulator::FinishLockRequest(Txn* txn) {
@@ -668,8 +635,8 @@ void GranularitySimulator::StartSubTransaction(Txn* txn, int32_t node) {
   const double pu = static_cast<double>(txn->params.pu);
   const double io_share = txn->params.io_demand / pu;
   const double cpu_share = txn->params.cpu_demand / pu;
-  auto* io_server = io_[static_cast<size_t>(node)].get();
-  auto* cpu_server = cpu_[static_cast<size_t>(node)].get();
+  sim::PriorityServer* io_server = &io_->node(node);
+  sim::PriorityServer* cpu_server = &cpu_->node(node);
   io_server->Submit(
       ServiceClass::kTransaction, io_share,
       [this, txn, node, cpu_server, cpu_share] {

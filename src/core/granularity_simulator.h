@@ -12,8 +12,7 @@
 #include "model/config.h"
 #include "model/conflict.h"
 #include "obs/hooks.h"
-#include "sim/busy_union.h"
-#include "sim/priority_server.h"
+#include "sim/server_pool.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
@@ -183,10 +182,8 @@ class GranularitySimulator {
   model::ConflictModel conflict_;
 
   sim::Simulator sim_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> cpu_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> io_;
-  sim::BusyUnionTracker cpu_union_;
-  sim::BusyUnionTracker io_union_;
+  std::optional<sim::ServerPool> cpu_;
+  std::optional<sim::ServerPool> io_;
 
   std::deque<Txn*> pending_;
   std::vector<Txn*> active_;  // holding locks, running sub-transactions

@@ -27,9 +27,6 @@ struct IncrementalSimulator::Txn {
   std::vector<int64_t> granules;  // acquisition order (shuffled)
   size_t next_lock = 0;
   int64_t substages_remaining = 0;
-  // Fan-in for the current lock-cost phase (I/O, then CPU); the phases
-  // never overlap for one transaction, so one field serves both.
-  int64_t lock_fanin_remaining = 0;
   int64_t restarts = 0;
   /// Wounded by a contention policy while running: aborts at its next
   /// safe point (lock cost paid / stage join) instead of proceeding.
@@ -64,7 +61,6 @@ struct IncrementalSimulator::Txn {
     granules.clear();
     next_lock = 0;
     substages_remaining = 0;
-    lock_fanin_remaining = 0;
     restarts = 0;
     doomed = false;
     admitted_wait = 0.0;
@@ -146,16 +142,8 @@ Result<core::SimulationMetrics> IncrementalSimulator::Run() {
   governor_.emplace(options_.restart_delay, options_.contention.governor);
 
   table_ = std::make_unique<WaitQueueLockTable>(cfg_.ltot);
-  cpu_.reserve(static_cast<size_t>(cfg_.npros));
-  io_.reserve(static_cast<size_t>(cfg_.npros));
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    cpu_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("cpu%lld", (long long)n)));
-    io_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("io%lld", (long long)n)));
-    cpu_.back()->SetBusyUnion(&cpu_union_);
-    io_.back()->SetBusyUnion(&io_union_);
-  }
+  cpu_.emplace(&sim_, "cpu", cfg_.npros);
+  io_.emplace(&sim_, "io", cfg_.npros);
 
   SetUpObservability();
 
@@ -187,18 +175,14 @@ Result<core::SimulationMetrics> IncrementalSimulator::Run() {
 
   core::SimulationMetrics m;
   m.measured_time = cfg_.tmax - window_start_;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    m.totcpus_sum += cpu_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.totios_sum += io_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.lockcpus_sum +=
-        cpu_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-    m.lockios_sum +=
-        io_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-  }
-  m.totcpus = cpu_union_.AnyBusyTime(cfg_.tmax);
-  m.lockcpus = cpu_union_.LockBusyTime(cfg_.tmax);
-  m.totios = io_union_.AnyBusyTime(cfg_.tmax);
-  m.lockios = io_union_.LockBusyTime(cfg_.tmax);
+  m.totcpus_sum = cpu_->TotalBusyTimeSum();
+  m.totios_sum = io_->TotalBusyTimeSum();
+  m.lockcpus_sum = cpu_->LockBusyTimeSum();
+  m.lockios_sum = io_->LockBusyTimeSum();
+  m.totcpus = cpu_->busy_union().AnyBusyTime(cfg_.tmax);
+  m.lockcpus = cpu_->busy_union().LockBusyTime(cfg_.tmax);
+  m.totios = io_->busy_union().AnyBusyTime(cfg_.tmax);
+  m.lockios = io_->busy_union().LockBusyTime(cfg_.tmax);
   const double npros = static_cast<double>(cfg_.npros);
   m.usefulcpus = (m.totcpus - m.lockcpus) / npros;
   m.usefulios = (m.totios - m.lockios) / npros;
@@ -326,7 +310,7 @@ void IncrementalSimulator::SampleTick() {
                          : 0.0);
   for (int64_t n = 0; n < cfg_.npros; ++n) {
     const size_t i = static_cast<size_t>(n);
-    const double busy = cpu_[i]->TotalBusyTime();
+    const double busy = cpu_->node(n).TotalBusyTime();
     row.push_back(dt > 0.0
                       ? std::max(0.0, busy - sample_cpu_busy_[i]) / dt
                       : 0.0);
@@ -334,7 +318,7 @@ void IncrementalSimulator::SampleTick() {
   }
   for (int64_t n = 0; n < cfg_.npros; ++n) {
     const size_t i = static_cast<size_t>(n);
-    const double busy = io_[i]->TotalBusyTime();
+    const double busy = io_->node(n).TotalBusyTime();
     row.push_back(dt > 0.0 ? std::max(0.0, busy - sample_io_busy_[i]) / dt
                            : 0.0);
     sample_io_busy_[i] = busy;
@@ -365,8 +349,8 @@ void IncrementalSimulator::PublishRunProfile(double wall_seconds) {
 }
 
 void IncrementalSimulator::BeginMeasurement() {
-  for (auto& server : cpu_) server->ResetStats();
-  for (auto& server : io_) server->ResetStats();
+  cpu_->ResetStats();
+  io_->ResetStats();
   totcom_ = 0;
   lock_requests_ = 0;
   lock_waits_ = 0;
@@ -384,8 +368,6 @@ void IncrementalSimulator::BeginMeasurement() {
   std::fill(sample_cpu_busy_.begin(), sample_cpu_busy_.end(), 0.0);
   std::fill(sample_io_busy_.begin(), sample_io_busy_.end(), 0.0);
   const double now = sim_.Now();
-  cpu_union_.ResetWindow(now);
-  io_union_.ResetWindow(now);
   active_stat_.ResetWindow(now);
   blocked_stat_.ResetWindow(now);
   if (admission_) admission_stat_.ResetWindow(now);
@@ -475,43 +457,28 @@ void IncrementalSimulator::RequestNextLock(Txn* txn) {
                            sim::TraceEventType::kLockRequested,
                            txn->granules[txn->next_lock]);
   }
-  PayLockCost(txn, [this, txn] { OnLockCostPaid(txn); });
+  PayLockCost(txn);
 }
 
-void IncrementalSimulator::PayLockCost(Txn* txn, std::function<void()> then) {
+void IncrementalSimulator::PayLockCost(Txn* txn) {
   // One lock's request/set/release cost, shared by all processors at
   // preemptive priority (same sharing rule as the conservative engines,
-  // scaled to a single lock).
-  const double npros = static_cast<double>(cfg_.npros);
-  const double io_share = cfg_.liotime / npros;
-  const double cpu_share = cfg_.lcputime / npros;
-  auto after_io = [this, txn, cpu_share, then = std::move(then)]() mutable {
-    if (cpu_share <= 0.0) {
-      then();
-      return;
-    }
-    txn->lock_fanin_remaining = cfg_.npros;
-    auto shared_then = std::make_shared<std::function<void()>>(std::move(then));
-    for (int64_t n = 0; n < cfg_.npros; ++n) {
-      cpu_[static_cast<size_t>(n)]->Submit(
-          ServiceClass::kLock, cpu_share, [txn, shared_then] {
-            if (--txn->lock_fanin_remaining == 0) (*shared_then)();
-          });
-    }
-  };
+  // scaled to a single lock): a disk-pool lock epoch, then a CPU-pool one.
+  const double io_share = cfg_.liotime / static_cast<double>(cfg_.npros);
   if (io_share <= 0.0) {
-    after_io();
+    PayLockCpuCost(txn);
     return;
   }
-  txn->lock_fanin_remaining = cfg_.npros;
-  auto shared_after =
-      std::make_shared<std::function<void()>>(std::move(after_io));
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    io_[static_cast<size_t>(n)]->Submit(
-        ServiceClass::kLock, io_share, [txn, shared_after] {
-          if (--txn->lock_fanin_remaining == 0) (*shared_after)();
-        });
+  io_->SubmitShared(io_share, [this, txn] { PayLockCpuCost(txn); });
+}
+
+void IncrementalSimulator::PayLockCpuCost(Txn* txn) {
+  const double cpu_share = cfg_.lcputime / static_cast<double>(cfg_.npros);
+  if (cpu_share <= 0.0) {
+    OnLockCostPaid(txn);
+    return;
   }
+  cpu_->SubmitShared(cpu_share, [this, txn] { OnLockCostPaid(txn); });
 }
 
 void IncrementalSimulator::OnLockCostPaid(Txn* txn) {
@@ -639,6 +606,8 @@ void IncrementalSimulator::CheckConsistency() const {
   GRANULOCK_AUDIT_CHECK_EQ(txn_by_id_.size(), live_txns_.size());
   GRANULOCK_AUDIT_CHECK_EQ(waiting_count_, table_->WaitingCount());
   table_->CheckConsistency();
+  cpu_->CheckConsistency();
+  io_->CheckConsistency();
   // A doomed transaction aborts at its next safe point and never queues;
   // a queued doomed transaction would deadlock against its own abort.
   for (const auto& [waiter, granule] : table_->WaitingRequests()) {
@@ -814,8 +783,8 @@ void IncrementalSimulator::DoStageWork(Txn* txn) {
   const double cpu_share = txn->params.cpu_demand / (stages * pu);
   txn->substages_remaining = txn->params.pu;
   for (int32_t node : txn->params.nodes) {
-    auto* io_server = io_[static_cast<size_t>(node)].get();
-    auto* cpu_server = cpu_[static_cast<size_t>(node)].get();
+    sim::PriorityServer* io_server = &io_->node(node);
+    sim::PriorityServer* cpu_server = &cpu_->node(node);
     io_server->Submit(
         ServiceClass::kTransaction, io_share,
         [this, txn, node, cpu_server, cpu_share] {

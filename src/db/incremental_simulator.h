@@ -14,8 +14,7 @@
 #include "lockmgr/waits_for.h"
 #include "model/config.h"
 #include "obs/hooks.h"
-#include "sim/busy_union.h"
-#include "sim/priority_server.h"
+#include "sim/server_pool.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
@@ -117,7 +116,10 @@ class IncrementalSimulator {
 
   void StartTransaction(Txn* txn);
   void RequestNextLock(Txn* txn);
-  void PayLockCost(Txn* txn, std::function<void()> then);
+  /// Charges one lock's request/set/release cost, then calls
+  /// `OnLockCostPaid`.
+  void PayLockCost(Txn* txn);
+  void PayLockCpuCost(Txn* txn);
   void OnLockCostPaid(Txn* txn);
   void OnLockGranted(Txn* txn);
   void DoStageWork(Txn* txn);
@@ -166,10 +168,8 @@ class IncrementalSimulator {
   Rng rng_;
 
   sim::Simulator sim_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> cpu_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> io_;
-  sim::BusyUnionTracker cpu_union_;
-  sim::BusyUnionTracker io_union_;
+  std::optional<sim::ServerPool> cpu_;
+  std::optional<sim::ServerPool> io_;
 
   std::unique_ptr<lockmgr::WaitQueueLockTable> table_;
   lockmgr::WaitsForGraph waits_for_;

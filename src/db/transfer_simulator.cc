@@ -6,7 +6,6 @@
 #include "db/granule_selector.h"
 #include "sim/invariants.h"
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace granulock::db {
 
@@ -27,9 +26,6 @@ struct TransferSimulator::Txn {
   int64_t read_from = 0;
   int64_t read_to = 0;
   int64_t phase_remaining = 0;
-  // Fan-in for the current lock-cost phase (I/O, then CPU); the phases
-  // never overlap for one transaction, so one field serves both.
-  int64_t lock_fanin_remaining = 0;
   std::vector<Txn*> blocked;
 
   /// Returns the transaction to its freshly-constructed state while
@@ -44,7 +40,6 @@ struct TransferSimulator::Txn {
     read_from = 0;
     read_to = 0;
     phase_remaining = 0;
-    lock_fanin_remaining = 0;
     blocked.clear();
   }
 };
@@ -97,16 +92,8 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   table_ = std::make_unique<lockmgr::LockTable>(cfg_.ltot);
   const int64_t initial_total = store_->Total();
 
-  cpu_.reserve(static_cast<size_t>(cfg_.npros));
-  io_.reserve(static_cast<size_t>(cfg_.npros));
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    cpu_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("cpu%lld", (long long)n)));
-    io_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("io%lld", (long long)n)));
-    cpu_.back()->SetBusyUnion(&cpu_union_);
-    io_.back()->SetBusyUnion(&io_union_);
-  }
+  cpu_.emplace(&sim_, "cpu", cfg_.npros);
+  io_.emplace(&sim_, "io", cfg_.npros);
 
   if (auto* prof = options_.contention) {
     prof->BeginRun(cfg_.ltot, /*imputed=*/false);
@@ -137,18 +124,14 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   Report report;
   core::SimulationMetrics& m = report.metrics;
   m.measured_time = cfg_.tmax - window_start_;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    m.totcpus_sum += cpu_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.totios_sum += io_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.lockcpus_sum +=
-        cpu_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-    m.lockios_sum +=
-        io_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-  }
-  m.totcpus = cpu_union_.AnyBusyTime(cfg_.tmax);
-  m.lockcpus = cpu_union_.LockBusyTime(cfg_.tmax);
-  m.totios = io_union_.AnyBusyTime(cfg_.tmax);
-  m.lockios = io_union_.LockBusyTime(cfg_.tmax);
+  m.totcpus_sum = cpu_->TotalBusyTimeSum();
+  m.totios_sum = io_->TotalBusyTimeSum();
+  m.lockcpus_sum = cpu_->LockBusyTimeSum();
+  m.lockios_sum = io_->LockBusyTimeSum();
+  m.totcpus = cpu_->busy_union().AnyBusyTime(cfg_.tmax);
+  m.lockcpus = cpu_->busy_union().LockBusyTime(cfg_.tmax);
+  m.totios = io_->busy_union().AnyBusyTime(cfg_.tmax);
+  m.lockios = io_->busy_union().LockBusyTime(cfg_.tmax);
   const double npros = static_cast<double>(cfg_.npros);
   m.usefulcpus = (m.totcpus - m.lockcpus) / npros;
   m.usefulios = (m.totios - m.lockios) / npros;
@@ -186,16 +169,14 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
 }
 
 void TransferSimulator::BeginMeasurement() {
-  for (auto& server : cpu_) server->ResetStats();
-  for (auto& server : io_) server->ResetStats();
+  cpu_->ResetStats();
+  io_->ResetStats();
   totcom_ = 0;
   lock_requests_ = 0;
   lock_denials_ = 0;
   response_.Reset();
   response_quantiles_.Reset();
   const double now = sim_.Now();
-  cpu_union_.ResetWindow(now);
-  io_union_.ResetWindow(now);
   active_stat_.ResetWindow(now);
   blocked_stat_.ResetWindow(now);
   pending_stat_.ResetWindow(now);
@@ -292,6 +273,8 @@ void TransferSimulator::CheckConsistency() const {
         static_cast<size_t>(table_->ActiveTransactions()), active_.size());
     table_->CheckConsistency();
   }
+  cpu_->CheckConsistency();
+  io_->CheckConsistency();
 }
 
 void TransferSimulator::BeginLockRequest(Txn* txn) {
@@ -305,33 +288,21 @@ void TransferSimulator::BeginLockRequest(Txn* txn) {
   const double npros = static_cast<double>(cfg_.npros);
   const double io_share = locks * cfg_.liotime / npros;
   const double cpu_share = locks * cfg_.lcputime / npros;
-  auto cpu_phase = [this, txn, cpu_share, npros] {
-    if (cpu_share <= 0.0) {
-      FinishLockRequest(txn);
-      return;
-    }
-    txn->lock_fanin_remaining = cfg_.npros;
-    for (int64_t n = 0; n < cfg_.npros; ++n) {
-      cpu_[static_cast<size_t>(n)]->Submit(
-          ServiceClass::kLock, cpu_share, [this, txn] {
-            if (--txn->lock_fanin_remaining == 0) FinishLockRequest(txn);
-          });
-    }
-    (void)npros;
-  };
   if (io_share <= 0.0) {
-    cpu_phase();
+    StartLockCpuPhase(txn, cpu_share);
     return;
   }
-  txn->lock_fanin_remaining = cfg_.npros;
-  auto shared_cpu_phase =
-      std::make_shared<std::function<void()>>(std::move(cpu_phase));
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    io_[static_cast<size_t>(n)]->Submit(
-        ServiceClass::kLock, io_share, [txn, shared_cpu_phase] {
-          if (--txn->lock_fanin_remaining == 0) (*shared_cpu_phase)();
-        });
+  io_->SubmitShared(io_share, [this, txn, cpu_share] {
+    StartLockCpuPhase(txn, cpu_share);
+  });
+}
+
+void TransferSimulator::StartLockCpuPhase(Txn* txn, double cpu_share) {
+  if (cpu_share <= 0.0) {
+    FinishLockRequest(txn);
+    return;
   }
+  cpu_->SubmitShared(cpu_share, [this, txn] { FinishLockRequest(txn); });
 }
 
 void TransferSimulator::FinishLockRequest(Txn* txn) {
@@ -395,7 +366,7 @@ void TransferSimulator::ContentionTick() {
 void TransferSimulator::StartReads(Txn* txn) {
   txn->phase_remaining = 2;
   const auto read = [this, txn](int64_t account, int64_t* slot) {
-    io_[static_cast<size_t>(store_->NodeOf(account))]->Submit(
+    io_->node(store_->NodeOf(account)).Submit(
         ServiceClass::kTransaction, cfg_.iotime,
         [this, txn, account, slot] {
           // The balance is captured at read-completion time; it can go
@@ -412,7 +383,7 @@ void TransferSimulator::OnReadsDone(Txn* txn) {
   if (--txn->phase_remaining > 0) return;
   // Compute phase: validate and build the new balances on the debit
   // account's CPU.
-  cpu_[static_cast<size_t>(store_->NodeOf(txn->from))]->Submit(
+  cpu_->node(store_->NodeOf(txn->from)).Submit(
       ServiceClass::kTransaction, 2.0 * cfg_.cputime,
       [this, txn] { StartWrites(txn); });
 }
@@ -420,7 +391,7 @@ void TransferSimulator::OnReadsDone(Txn* txn) {
 void TransferSimulator::StartWrites(Txn* txn) {
   const auto write = [this, txn](int64_t account, int64_t value,
                                  int64_t delta) {
-    io_[static_cast<size_t>(store_->NodeOf(account))]->Submit(
+    io_->node(store_->NodeOf(account)).Submit(
         ServiceClass::kTransaction, cfg_.iotime,
         [this, txn, account, value, delta] {
           store_->Write(account, value);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -11,8 +12,7 @@
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
 #include "obs/contention.h"
-#include "sim/busy_union.h"
-#include "sim/priority_server.h"
+#include "sim/server_pool.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "storage/record_store.h"
@@ -115,6 +115,7 @@ class TransferSimulator {
 
   void PumpLockManager();
   void BeginLockRequest(Txn* txn);
+  void StartLockCpuPhase(Txn* txn, double cpu_share);
   void FinishLockRequest(Txn* txn);
   void StartReads(Txn* txn);
   void OnReadsDone(Txn* txn);
@@ -135,10 +136,8 @@ class TransferSimulator {
   Rng rng_;
 
   sim::Simulator sim_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> cpu_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> io_;
-  sim::BusyUnionTracker cpu_union_;
-  sim::BusyUnionTracker io_union_;
+  std::optional<sim::ServerPool> cpu_;
+  std::optional<sim::ServerPool> io_;
 
   std::unique_ptr<storage::RecordStore> store_;
   std::unique_ptr<ZipfGenerator> zipf_;

@@ -42,10 +42,6 @@ void PriorityServer::StartNextIfIdle() {
   }
 }
 
-void PriorityServer::SetTransitionObserver(TransitionObserver observer) {
-  observer_ = std::move(observer);
-}
-
 void PriorityServer::BeginService(Job job) {
   GRANULOCK_CHECK(!current_.has_value());
   current_ = std::move(job);
@@ -56,6 +52,12 @@ void PriorityServer::BeginService(Job job) {
 }
 
 void PriorityServer::FinishCurrent() {
+  Completion done = RetireCurrent();
+  StartNextIfIdle();
+  if (done) done();
+}
+
+PriorityServer::Completion PriorityServer::RetireCurrent() {
   GRANULOCK_CHECK(current_.has_value());
   const int c = ClassIndex(current_->cls);
   busy_time_[c] += sim_->Now() - service_start_;
@@ -67,8 +69,19 @@ void PriorityServer::FinishCurrent() {
   NotifyTransition(/*entering=*/false, current_->cls);
   Completion done = std::move(current_->on_complete);
   current_.reset();
-  StartNextIfIdle();
-  if (done) done();
+  return done;
+}
+
+void PriorityServer::BeginEpoch(SimTime per_node) {
+  ++accepted_[ClassIndex(ServiceClass::kLock)];
+  if (current_.has_value()) {
+    GRANULOCK_CHECK(current_->cls == ServiceClass::kTransaction)
+        << "server " << name_ << " is already serving lock work";
+    PreemptCurrent();
+  }
+  current_ = Job{ServiceClass::kLock, per_node, Completion()};
+  NotifyTransition(/*entering=*/true, ServiceClass::kLock);
+  service_start_ = sim_->Now();
 }
 
 void PriorityServer::PreemptCurrent() {

@@ -2,7 +2,6 @@
 #define GRANULOCK_SIM_PRIORITY_SERVER_H_
 
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -40,13 +39,6 @@ class PriorityServer {
   /// events: submitting a job never heap-allocates for the callback.
   using Completion = InlineCallback;
 
-  /// Observer invoked at every busy-state change: `delta_any` is +1/-1
-  /// when the server becomes busy/idle, `delta_lock` likewise for
-  /// busy-on-lock-work. Feed these into a `BusyUnionTracker` to measure
-  /// pool-level union busy time.
-  using TransitionObserver =
-      std::function<void(SimTime now, int delta_any, int delta_lock)>;
-
   /// Creates a server that schedules itself on `sim` (not owned; must
   /// outlive the server). `name` is used in diagnostics only.
   PriorityServer(Simulator* sim, std::string name);
@@ -82,16 +74,9 @@ class PriorityServer {
 
   const std::string& name() const { return name_; }
 
-  /// Installs the busy-transition observer (may be null). Must be set
-  /// before the first `Submit`.
-  void SetTransitionObserver(TransitionObserver observer);
-
-  /// Wires busy-state transitions straight into a `BusyUnionTracker`
-  /// (not owned; may be null to unwire). The direct pointer skips the
-  /// `std::function` indirection of `SetTransitionObserver` — busy flips
-  /// happen tens of millions of times per sweep, and every engine feeds
-  /// them into a union tracker anyway. Takes precedence over an installed
-  /// observer; must be set before the first `Submit`.
+  /// Reports every busy-state change to `tracker` (not owned; may be null
+  /// to unwire): +1/-1 when the server becomes busy/idle, and likewise
+  /// for busy-on-lock-work. Must be set before the first `Submit`.
   void SetBusyUnion(BusyUnionTracker* tracker) { busy_union_ = tracker; }
 
   /// FCFS queue conservation audit: every job ever submitted is finished,
@@ -104,6 +89,7 @@ class PriorityServer {
 
  private:
   friend struct AuditTestPeer;  // invariants_test corrupts state through it
+  friend class ServerPool;      // drives the lock-epoch hooks below
 
   struct Job {
     ServiceClass cls;
@@ -114,19 +100,23 @@ class PriorityServer {
   void StartNextIfIdle();
   void BeginService(Job job);
   void FinishCurrent();
+  /// Takes the in-service job out of service with full accounting and
+  /// returns its completion callback (the first half of `FinishCurrent`).
+  Completion RetireCurrent();
+  /// Lock-epoch hook: preempts in-service transaction work exactly as a
+  /// `kLock` arrival does and puts a `per_node` lock job in service, but
+  /// schedules no completion event — the owning pool's single epoch event
+  /// ends it through `RetireCurrent`.
+  void BeginEpoch(SimTime per_node);
   /// Moves the in-service job back to the head of its queue, crediting the
   /// service it received so far.
   void PreemptCurrent();
   int ClassIndex(ServiceClass cls) const { return static_cast<int>(cls); }
   void NotifyTransition(bool entering, ServiceClass cls) {
-    if (busy_union_ == nullptr && !observer_) return;
+    if (busy_union_ == nullptr) return;
     const int delta_any = entering ? 1 : -1;
     const int delta_lock = cls == ServiceClass::kLock ? delta_any : 0;
-    if (busy_union_ != nullptr) {
-      busy_union_->Transition(sim_->Now(), delta_any, delta_lock);
-    } else {
-      observer_(sim_->Now(), delta_any, delta_lock);
-    }
+    busy_union_->Transition(sim_->Now(), delta_any, delta_lock);
   }
 
   Simulator* sim_;
@@ -136,7 +126,6 @@ class PriorityServer {
   SimTime service_start_ = 0.0;
   EventId completion_event_ = 0;
   BusyUnionTracker* busy_union_ = nullptr;
-  TransitionObserver observer_;
   double busy_time_[kNumServiceClasses] = {0.0, 0.0};
   uint64_t completed_[kNumServiceClasses] = {0, 0};
   // Lifetime conservation counters (never reset; see CheckConsistency).

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/priority_server.h"
+#include "sim/server_pool.h"
 #include "sim/simulator.h"
 
 namespace granulock::sim {
@@ -75,55 +75,43 @@ TEST(BusyUnionTrackerTest, ResetWindowDiscardsHistoryKeepsState) {
   EXPECT_EQ(tracker.busy_count(), 1);
 }
 
-// --- End-to-end with PriorityServer pools -----------------------------
+// --- End-to-end with a ServerPool ------------------------------------
 
 class ServerPoolUnionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    for (int i = 0; i < 2; ++i) {
-      servers_.push_back(
-          std::make_unique<PriorityServer>(&sim_, "s" + std::to_string(i)));
-      servers_.back()->SetTransitionObserver(
-          [this](double now, int da, int dl) {
-            tracker_.Transition(now, da, dl);
-          });
-    }
-  }
   Simulator sim_;
-  BusyUnionTracker tracker_;
-  std::vector<std::unique_ptr<PriorityServer>> servers_;
+  ServerPool pool_{&sim_, "s", 2};
+  const BusyUnionTracker& tracker() const { return pool_.busy_union(); }
 };
 
 TEST_F(ServerPoolUnionTest, ParallelWorkCountsOnce) {
   // Both servers busy [0, 5]: union is 5, sum is 10.
-  servers_[0]->Submit(ServiceClass::kTransaction, 5.0, [] {});
-  servers_[1]->Submit(ServiceClass::kTransaction, 5.0, [] {});
+  pool_.node(0).Submit(ServiceClass::kTransaction, 5.0, [] {});
+  pool_.node(1).Submit(ServiceClass::kTransaction, 5.0, [] {});
   sim_.RunUntilEmpty();
-  EXPECT_DOUBLE_EQ(tracker_.AnyBusyTime(sim_.Now()), 5.0);
-  EXPECT_DOUBLE_EQ(
-      servers_[0]->TotalBusyTime() + servers_[1]->TotalBusyTime(), 10.0);
+  EXPECT_DOUBLE_EQ(tracker().AnyBusyTime(sim_.Now()), 5.0);
+  EXPECT_DOUBLE_EQ(pool_.TotalBusyTimeSum(), 10.0);
 }
 
 TEST_F(ServerPoolUnionTest, StaggeredWorkUnionsCorrectly) {
-  servers_[0]->Submit(ServiceClass::kTransaction, 2.0, [] {});  // [0,2]
+  pool_.node(0).Submit(ServiceClass::kTransaction, 2.0, [] {});  // [0,2]
   sim_.ScheduleAt(1.0, [this] {
-    servers_[1]->Submit(ServiceClass::kTransaction, 3.0, [] {});  // [1,4]
+    pool_.node(1).Submit(ServiceClass::kTransaction, 3.0, [] {});  // [1,4]
   });
   sim_.RunUntilEmpty();
-  EXPECT_DOUBLE_EQ(tracker_.AnyBusyTime(sim_.Now()), 4.0);  // union [0,4]
+  EXPECT_DOUBLE_EQ(tracker().AnyBusyTime(sim_.Now()), 4.0);  // union [0,4]
 }
 
 TEST_F(ServerPoolUnionTest, PreemptionTransitionsStayBalanced) {
-  servers_[0]->Submit(ServiceClass::kTransaction, 4.0, [] {});
-  sim_.ScheduleAt(1.0, [this] {
-    servers_[0]->Submit(ServiceClass::kLock, 2.0, [] {});
-  });
+  pool_.node(0).Submit(ServiceClass::kTransaction, 4.0, [] {});
+  sim_.ScheduleAt(1.0, [this] { pool_.SubmitShared(2.0, [] {}); });
   sim_.RunUntilEmpty();
-  // Busy continuously [0, 6]; lock portion [1, 3].
-  EXPECT_DOUBLE_EQ(tracker_.AnyBusyTime(sim_.Now()), 6.0);
-  EXPECT_DOUBLE_EQ(tracker_.LockBusyTime(sim_.Now()), 2.0);
-  EXPECT_EQ(tracker_.busy_count(), 0);
-  EXPECT_EQ(tracker_.lock_count(), 0);
+  // Busy continuously [0, 6]; lock portion [1, 3] on both servers.
+  EXPECT_DOUBLE_EQ(tracker().AnyBusyTime(sim_.Now()), 6.0);
+  EXPECT_DOUBLE_EQ(tracker().LockBusyTime(sim_.Now()), 2.0);
+  EXPECT_DOUBLE_EQ(pool_.LockBusyTimeSum(), 4.0);
+  EXPECT_EQ(tracker().busy_count(), 0);
+  EXPECT_EQ(tracker().lock_count(), 0);
 }
 
 }  // namespace

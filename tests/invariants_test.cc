@@ -25,6 +25,7 @@
 #include "lockmgr/wait_queue_table.h"
 #include "model/config.h"
 #include "sim/priority_server.h"
+#include "sim/server_pool.h"
 #include "sim/simulator.h"
 #include "workload/workload.h"
 
@@ -39,6 +40,7 @@ struct AuditTestPeer {
   static auto& Accepted(PriorityServer& s) { return s.accepted_; }
   static auto& BusyTime(PriorityServer& s) { return s.busy_time_; }
   static auto& Queues(PriorityServer& s) { return s.queues_; }
+  static auto& Current(PriorityServer& s) { return s.current_; }
 };
 
 }  // namespace granulock::sim
@@ -265,6 +267,35 @@ TEST(PriorityServerAuditTest, FiresOnNegativeQueuedDemand) {
 
   ScopedFailureCapture capture;
   server.CheckConsistency();
+  EXPECT_GT(capture.count(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// ServerPool (lock epochs). Clean runs are audited throughout
+// server_pool_test's differential scenarios.
+
+TEST(ServerPoolAuditTest, FiresOnNodeServingADifferentShare) {
+  sim::Simulator s;
+  sim::ServerPool pool(&s, "io", 3);
+  pool.SubmitShared(1.0, [] {});
+  // Node 2 alone drifts out of step; its own audit still passes.
+  sim::AuditTestPeer::Current(pool.node(2))->remaining = 0.75;
+
+  ScopedFailureCapture capture;
+  pool.node(2).CheckConsistency();
+  EXPECT_EQ(capture.count(), 0);
+  pool.CheckConsistency();
+  EXPECT_GT(capture.count(), 0);
+}
+
+TEST(ServerPoolAuditTest, FiresOnPerNodeLockJob) {
+  sim::Simulator s;
+  sim::ServerPool pool(&s, "cpu", 2);
+  // Lock work submitted to one node bypasses the epoch.
+  pool.node(0).Submit(sim::ServiceClass::kLock, 1.0, [] {});
+
+  ScopedFailureCapture capture;
+  pool.CheckConsistency();
   EXPECT_GT(capture.count(), 0);
 }
 
