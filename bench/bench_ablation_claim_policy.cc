@@ -63,8 +63,10 @@ int main(int argc, char** argv) {
         });
     auto incremental = cells.Run(
         1, static_cast<int>(p), ltot, seed,
-        [&](const fault::CellWatchdog*) {
-          return db::IncrementalSimulator::RunOnce(cfg, spec, seed, iopt);
+        [&](const fault::CellWatchdog* wd) {
+          db::IncrementalSimulator::Options opt = iopt;
+          opt.watchdog = wd;
+          return db::IncrementalSimulator::RunOnce(cfg, spec, seed, opt);
         });
     const bool ok = conservative.ok() && incremental.ok();
     table.AddRow(
@@ -112,8 +114,10 @@ int main(int argc, char** argv) {
         });
     auto incremental = cells.Run(
         3, static_cast<int>(p), ltot, seed,
-        [&](const fault::CellWatchdog*) {
-          return db::IncrementalSimulator::RunOnce(cfg, spec, seed, iopt);
+        [&](const fault::CellWatchdog* wd) {
+          db::IncrementalSimulator::Options opt = iopt;
+          opt.watchdog = wd;
+          return db::IncrementalSimulator::RunOnce(cfg, spec, seed, opt);
         });
     const bool ok = conservative.ok() && incremental.ok();
     table2.AddRow(

@@ -75,9 +75,11 @@ int main(int argc, char** argv) {
       const uint64_t seed = static_cast<uint64_t>(args.seed);
       auto run = [&](int series, const db::ExplicitSimulator::Options& opt) {
         return cells.Run(series, static_cast<int>(p), ltot, seed,
-                         [&](const fault::CellWatchdog*) {
-                           return db::ExplicitSimulator::RunOnce(cfg, spec,
-                                                                 seed, opt);
+                         [&](const fault::CellWatchdog* wd) {
+                           db::ExplicitSimulator::Options watched = opt;
+                           watched.watchdog = wd;
+                           return db::ExplicitSimulator::RunOnce(
+                               cfg, spec, seed, watched);
                          });
       };
       auto rf = run(0, flat);

@@ -4,17 +4,14 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
+#include "core/closed_system_kernel.h"
 #include "core/fault.h"
 #include "core/metrics.h"
 #include "model/config.h"
 #include "model/conflict.h"
 #include "obs/hooks.h"
-#include "sim/server_pool.h"
-#include "sim/simulator.h"
-#include "sim/stats.h"
 #include "sim/trace.h"
 #include "util/arena.h"
 #include "util/random.h"
@@ -132,34 +129,20 @@ class GranularitySimulator {
   void CheckConsistency() const;
 
   // --- lifecycle stages (see class comment) ---
-  void InjectInitialTransactions();
+  void Arrive();
   void PumpLockManager();
   void BeginLockRequest(Txn* txn);
   void StartLockIoPhase(Txn* txn);
   void StartLockCpuPhase(Txn* txn);
   void FinishLockRequest(Txn* txn);
   void Grant(Txn* txn);
-  void StartSubTransaction(Txn* txn, int32_t node);
-  void OnSubTransactionDone(Txn* txn);
   void Complete(Txn* txn);
 
-  Txn* CreateTransaction(double arrival_time);
-  void DestroyTransaction(Txn* txn);
   void EnqueuePending(Txn* txn, bool at_tail);
   void UpdateQueueStats();
-  void BeginMeasurement();
-  /// Observability: cache registry instruments / declare sampler columns.
-  void SetUpObservability();
-  /// One periodic sampler row (runs as an observer event).
-  void SampleTick();
-  /// One periodic contention-profiler sample (observer event; only
-  /// scheduled when options_.obs.contention is set).
-  void ContentionTick();
-  /// Self-rescheduling watchdog poll chain (observer events; see
-  /// Options::watchdog).
-  void ScheduleWatchdogPoll();
-  /// Post-run self-profiling gauges (event counts, queue HWM, events/sec).
-  void PublishRunProfile(double wall_seconds);
+  /// Contention-profiler sample: waits-for edges plus the occupancy
+  /// estimated from the locks the active transactions nominally hold.
+  double ContentionSample(ClosedSystemKernel::Edges* edges) const;
   /// Adaptive admission: periodically retune the MPL cap from the denial
   /// rate observed in the last window.
   void AdaptAdmissionCap();
@@ -168,12 +151,11 @@ class GranularitySimulator {
   model::SystemConfig cfg_;
   workload::WorkloadSpec spec_;
   Options options_;
-  /// Built in `Run()` (needs a validated spec); amortizes lock-demand and
-  /// node-set work across the millions of transactions one run creates.
-  std::optional<workload::TransactionFactory> txn_factory_;
+  ClosedSystemKernel kernel_;
   /// `options_.arena` or the private fallback; backs Txn scratch vectors.
   util::Arena* arena_ = nullptr;
   std::unique_ptr<util::Arena> owned_arena_;
+  TxnPool<Txn> txns_;
   Rng rng_;
   /// Profiler-private stream for imputed granule attribution (the
   /// probabilistic conflict model has no real lock table). Never draws
@@ -181,14 +163,8 @@ class GranularitySimulator {
   Rng contention_rng_;
   model::ConflictModel conflict_;
 
-  sim::Simulator sim_;
-  std::optional<sim::ServerPool> cpu_;
-  std::optional<sim::ServerPool> io_;
-
   std::deque<Txn*> pending_;
   std::vector<Txn*> active_;  // holding locks, running sub-transactions
-  std::vector<std::unique_ptr<Txn>> live_txns_;
-  std::vector<std::unique_ptr<Txn>> txn_pool_;  // recycled Txn objects
   /// Exact sum of `params.lu` over `active_` (maintained at grant /
   /// complete, audited in CheckConsistency). Lets the conflict draw skip
   /// the partial-sum scan entirely whenever the scaled variate exceeds the
@@ -199,46 +175,10 @@ class GranularitySimulator {
   int64_t blocked_count_ = 0;
   int outstanding_lock_requests_ = 0;
 
-  // Measurement state (reset at warmup).
-  int64_t totcom_ = 0;
-  int64_t lock_requests_ = 0;
-  int64_t lock_denials_ = 0;
-  sim::RunningStat response_;
-  sim::QuantileEstimator response_quantiles_;
-  sim::TimeWeightedStat active_stat_;
-  sim::TimeWeightedStat blocked_stat_;
-  sim::TimeWeightedStat pending_stat_;
-  double window_start_ = 0.0;
-
-  // Response-time decomposition (always on; see SimulationMetrics).
-  sim::RunningStat phase_pending_;
-  sim::RunningStat phase_lock_;
-  sim::RunningStat phase_io_;
-  sim::RunningStat phase_cpu_;
-  sim::RunningStat phase_sync_;
-
-  // Cached registry instruments (null unless options_.obs.registry set).
-  obs::Counter* ctr_txn_created_ = nullptr;
-  obs::Counter* ctr_lock_requests_ = nullptr;
-  obs::Counter* ctr_lock_denials_ = nullptr;
-  obs::Counter* ctr_lock_grants_ = nullptr;
-  obs::Counter* ctr_subtxns_done_ = nullptr;
-  obs::Counter* ctr_txn_completed_ = nullptr;
-  obs::Histogram* hist_response_ = nullptr;
-
-  // Sampler baselines for per-interval deltas (utilization, throughput).
-  std::vector<double> sample_cpu_busy_;
-  std::vector<double> sample_io_busy_;
-  int64_t sample_totcom_ = 0;
-  double sample_time_ = 0.0;
-
   // Adaptive admission controller state.
   int64_t adaptive_cap_ = 0;
   int64_t window_requests_ = 0;
   int64_t window_denials_ = 0;
-
-  uint64_t next_txn_id_ = 1;
-  bool ran_ = false;
 };
 
 }  // namespace granulock::core

@@ -5,8 +5,6 @@
 
 #include "sim/invariants.h"
 #include "util/logging.h"
-#include "util/strings.h"
-#include "util/wall_clock.h"
 
 namespace granulock::db {
 
@@ -19,11 +17,7 @@ using sim::ServiceClass;
 /// One live transaction with its concrete lock set. The set is drawn once
 /// (a transaction's data needs do not change across retries); the lock
 /// *cost* is paid on every attempt, as in the paper.
-struct ExplicitSimulator::Txn {
-  lockmgr::TxnId id = 0;
-  workload::TransactionParams params;
-  double arrival_time = 0.0;
-  int64_t subtxns_remaining = 0;
+struct ExplicitSimulator::Txn : core::TxnCore {
   // Fan-in for the current lock-processing phase (I/O, then CPU); the two
   // phases never overlap, so one field serves both without allocating.
   int64_t lock_fanin_remaining = 0;
@@ -38,39 +32,14 @@ struct ExplicitSimulator::Txn {
   /// Locks actually set per attempt (drives the lock cost).
   double locks_set = 0.0;
 
-  // Phase accounting (always on); see core::GranularitySimulator::Txn.
-  double pending_since = 0.0;
-  double lock_since = 0.0;
-  double grant_time = 0.0;
-  double pending_wait = 0.0;
-  double lock_wait = 0.0;
-  double io_span_sum = 0.0;
-  double cpu_span_sum = 0.0;
-  double cpu_done_sum = 0.0;
-  std::vector<std::pair<int32_t, double>> sub_cpu_done;
-
-  /// Returns the transaction to its freshly-constructed state while
-  /// keeping the vectors' capacity — pooled reuse must behave exactly
-  /// like a new `Txn` minus the allocations.
   void Reset() {
-    id = 0;
-    arrival_time = 0.0;
-    subtxns_remaining = 0;
+    TxnCore::Reset();
     lock_fanin_remaining = 0;
     blocked.clear();
     granules.clear();
     coarse = false;
     mode = LockMode::kX;
     locks_set = 0.0;
-    pending_since = 0.0;
-    lock_since = 0.0;
-    grant_time = 0.0;
-    pending_wait = 0.0;
-    lock_wait = 0.0;
-    io_span_sum = 0.0;
-    cpu_span_sum = 0.0;
-    cpu_done_sum = 0.0;
-    sub_cpu_done.clear();
   }
 };
 
@@ -80,6 +49,7 @@ ExplicitSimulator::ExplicitSimulator(model::SystemConfig cfg,
     : cfg_(std::move(cfg)),
       spec_(std::move(spec)),
       options_(options),
+      kernel_(cfg_, options_.obs, options_.trace, options_.watchdog),
       rng_(seed) {}
 
 ExplicitSimulator::ExplicitSimulator(model::SystemConfig cfg,
@@ -103,14 +73,7 @@ Result<core::SimulationMetrics> ExplicitSimulator::RunOnce(
 }
 
 Result<core::SimulationMetrics> ExplicitSimulator::Run() {
-  if (ran_) {
-    return Status::FailedPrecondition("Run() may only be called once");
-  }
-  ran_ = true;
-  const WallTimer wall_timer;
-  GRANULOCK_RETURN_NOT_OK(cfg_.Validate());
-  GRANULOCK_RETURN_NOT_OK(spec_.Validate(cfg_));
-  txn_factory_.emplace(cfg_, spec_);
+  GRANULOCK_RETURN_NOT_OK(kernel_.Begin(&spec_));
   if (options_.read_fraction < 0.0 || options_.read_fraction > 1.0) {
     return Status::InvalidArgument("read_fraction must be in [0, 1]");
   }
@@ -141,256 +104,39 @@ Result<core::SimulationMetrics> ExplicitSimulator::Run() {
     }
   }
 
-  cpu_.reserve(static_cast<size_t>(cfg_.npros));
-  io_.reserve(static_cast<size_t>(cfg_.npros));
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    cpu_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("cpu%lld", (long long)n)));
-    io_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("io%lld", (long long)n)));
-    cpu_.back()->SetBusyUnion(&cpu_union_);
-    io_.back()->SetBusyUnion(&io_union_);
-  }
-
-  SetUpObservability();
-
-  active_stat_.Start(0.0, 0.0);
-  blocked_stat_.Start(0.0, 0.0);
-  pending_stat_.Start(0.0, 0.0);
-  window_start_ = cfg_.warmup;
-  if (cfg_.warmup > 0.0) {
-    sim_.ScheduleAt(cfg_.warmup, [this] { BeginMeasurement(); });
-  }
-
-  InjectInitialTransactions();
-  sim_.RunUntil(cfg_.tmax);
-
-  core::SimulationMetrics m;
-  m.measured_time = cfg_.tmax - window_start_;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    m.totcpus_sum += cpu_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.totios_sum += io_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.lockcpus_sum +=
-        cpu_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-    m.lockios_sum +=
-        io_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-  }
-  m.totcpus = cpu_union_.AnyBusyTime(cfg_.tmax);
-  m.lockcpus = cpu_union_.LockBusyTime(cfg_.tmax);
-  m.totios = io_union_.AnyBusyTime(cfg_.tmax);
-  m.lockios = io_union_.LockBusyTime(cfg_.tmax);
-  const double npros = static_cast<double>(cfg_.npros);
-  m.usefulcpus = (m.totcpus - m.lockcpus) / npros;
-  m.usefulios = (m.totios - m.lockios) / npros;
-  m.totcom = totcom_;
-  m.throughput =
-      m.measured_time > 0.0 ? static_cast<double>(totcom_) / m.measured_time
-                            : 0.0;
-  m.response_time = response_.Mean();
-  m.response_time_stddev = response_.StdDev();
-  m.response_p50 = response_quantiles_.Quantile(0.50);
-  m.response_p95 = response_quantiles_.Quantile(0.95);
-  m.response_p99 = response_quantiles_.Quantile(0.99);
-  m.lock_requests = lock_requests_;
-  m.lock_denials = lock_denials_;
-  m.denial_rate = lock_requests_ > 0 ? static_cast<double>(lock_denials_) /
-                                           static_cast<double>(lock_requests_)
-                                     : 0.0;
-  m.avg_active = active_stat_.Average(cfg_.tmax);
-  m.avg_blocked = blocked_stat_.Average(cfg_.tmax);
-  m.avg_pending = pending_stat_.Average(cfg_.tmax);
-  m.cpu_utilization =
-      m.measured_time > 0.0 ? m.totcpus_sum / (npros * m.measured_time)
-                            : 0.0;
-  m.io_utilization =
-      m.measured_time > 0.0 ? m.totios_sum / (npros * m.measured_time) : 0.0;
-  m.events_executed = sim_.ExecutedEvents();
-  m.phase_pending_wait = phase_pending_.Mean();
-  m.phase_lock_wait = phase_lock_.Mean();
-  m.phase_io_service = phase_io_.Mean();
-  m.phase_cpu_service = phase_cpu_.Mean();
-  m.phase_sync_wait = phase_sync_.Mean();
-
-  const double wall_seconds = wall_timer.Seconds();
-  PublishRunProfile(wall_seconds);
-  return m;
+  kernel_.Open<&ExplicitSimulator::ContentionSample>(this, /*imputed=*/false);
+  return kernel_.RunToHorizon<&ExplicitSimulator::Arrive>(this);
 }
 
-void ExplicitSimulator::SetUpObservability() {
-  if (options_.obs.registry != nullptr) {
-    auto* reg = options_.obs.registry;
-    ctr_txn_created_ = reg->GetCounter("engine.txn_created");
-    ctr_lock_requests_ = reg->GetCounter("engine.lock_requests");
-    ctr_lock_denials_ = reg->GetCounter("engine.lock_denials");
-    ctr_lock_grants_ = reg->GetCounter("engine.lock_grants");
-    ctr_subtxns_done_ = reg->GetCounter("engine.subtxns_completed");
-    ctr_txn_completed_ = reg->GetCounter("engine.txn_completed");
-    hist_response_ = reg->GetHistogram(
-        "engine.response_time",
-        {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
-  }
-  if (options_.obs.sampler != nullptr) {
-    auto* sampler = options_.obs.sampler;
-    std::vector<std::string> cols = {"active", "blocked", "pending",
-                                     "throughput"};
-    for (int64_t n = 0; n < cfg_.npros; ++n) {
-      cols.push_back(StrFormat("cpu%lld_util", (long long)n));
-    }
-    for (int64_t n = 0; n < cfg_.npros; ++n) {
-      cols.push_back(StrFormat("disk%lld_util", (long long)n));
-    }
-    sampler->SetColumns(std::move(cols));
-    sample_cpu_busy_.assign(static_cast<size_t>(cfg_.npros), 0.0);
-    sample_io_busy_.assign(static_cast<size_t>(cfg_.npros), 0.0);
-    const double iv = sampler->interval();
-    if (iv > 0.0 && iv <= cfg_.tmax) {
-      sim_.ScheduleObserverAt(iv, [this] { SampleTick(); });
-    }
-  }
-  if (auto* prof = options_.obs.contention) {
-    prof->BeginRun(cfg_.ltot, /*imputed=*/false);
-    const double iv = prof->options().sample_interval;
-    if (iv > 0.0 && iv <= cfg_.tmax) {
-      sim_.ScheduleObserverAt(iv, [this] { ContentionTick(); });
-    }
-  }
-}
-
-void ExplicitSimulator::ContentionTick() {
-  auto* prof = options_.obs.contention;
-  const double now = sim_.Now();
-  std::vector<std::pair<uint64_t, uint64_t>> edges;
+double ExplicitSimulator::ContentionSample(
+    core::ClosedSystemKernel::Edges* edges) const {
   for (const auto& [id, holder] : active_) {
     for (const Txn* waiter : holder->blocked) {
-      edges.emplace_back(waiter->id, id);
+      edges->emplace_back(waiter->id, id);
     }
   }
-  const double ntrans = static_cast<double>(cfg_.ntrans);
-  const double blocked_fraction =
-      ntrans > 0.0 ? static_cast<double>(blocked_count_) / ntrans : 0.0;
   const int64_t locked = flat_table_ != nullptr
                              ? flat_table_->LockedGranules()
                              : hier_table_->LockedGranules();
-  const double occupancy =
-      cfg_.ltot > 0 ? std::min(1.0, static_cast<double>(locked) /
-                                        static_cast<double>(cfg_.ltot))
-                    : 0.0;
-  prof->OnSample(now, blocked_fraction, occupancy, std::move(edges));
-  const double iv = prof->options().sample_interval;
-  if (now + iv <= cfg_.tmax) {
-    sim_.ScheduleObserverAfter(iv, [this] { ContentionTick(); });
-  }
+  return cfg_.ltot > 0 ? std::min(1.0, static_cast<double>(locked) /
+                                           static_cast<double>(cfg_.ltot))
+                       : 0.0;
 }
 
-void ExplicitSimulator::SampleTick() {
-  auto* sampler = options_.obs.sampler;
-  const double now = sim_.Now();
-  const double dt = now - sample_time_;
-  std::vector<double> row;
-  row.reserve(4 + 2 * static_cast<size_t>(cfg_.npros));
-  row.push_back(static_cast<double>(active_.size()));
-  row.push_back(static_cast<double>(blocked_count_));
-  row.push_back(static_cast<double>(pending_.size()));
-  // Deltas clamp at 0 across the warmup reset (see GranularitySimulator).
-  row.push_back(dt > 0.0 ? std::max(0.0, static_cast<double>(
-                                             totcom_ - sample_totcom_)) /
-                               dt
-                         : 0.0);
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    const size_t i = static_cast<size_t>(n);
-    const double busy = cpu_[i]->TotalBusyTime();
-    row.push_back(dt > 0.0
-                      ? std::max(0.0, busy - sample_cpu_busy_[i]) / dt
-                      : 0.0);
-    sample_cpu_busy_[i] = busy;
-  }
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    const size_t i = static_cast<size_t>(n);
-    const double busy = io_[i]->TotalBusyTime();
-    row.push_back(dt > 0.0 ? std::max(0.0, busy - sample_io_busy_[i]) / dt
-                           : 0.0);
-    sample_io_busy_[i] = busy;
-  }
-  sample_totcom_ = totcom_;
-  sample_time_ = now;
-  sampler->Push(now, std::move(row));
-  const double iv = sampler->interval();
-  if (now + iv <= cfg_.tmax) {
-    sim_.ScheduleObserverAfter(iv, [this] { SampleTick(); });
-  }
-}
-
-void ExplicitSimulator::PublishRunProfile(double wall_seconds) {
-  if (options_.obs.registry == nullptr) return;
-  auto* reg = options_.obs.registry;
-  reg->GetGauge("sim.events_executed")
-      ->Set(static_cast<double>(sim_.ExecutedEvents()));
-  reg->GetGauge("sim.observer_events")
-      ->Set(static_cast<double>(sim_.ExecutedObserverEvents()));
-  reg->GetGauge("sim.event_queue_hwm")
-      ->Set(static_cast<double>(sim_.MaxPendingEvents()));
-  reg->GetGauge("engine.wall_seconds")->Set(wall_seconds);
-  reg->GetGauge("engine.events_per_sec")
-      ->Set(wall_seconds > 0.0
-                ? static_cast<double>(sim_.ExecutedEvents()) / wall_seconds
-                : 0.0);
-}
-
-void ExplicitSimulator::BeginMeasurement() {
-  for (auto& server : cpu_) server->ResetStats();
-  for (auto& server : io_) server->ResetStats();
-  totcom_ = 0;
-  lock_requests_ = 0;
-  lock_denials_ = 0;
-  response_.Reset();
-  response_quantiles_.Reset();
-  phase_pending_.Reset();
-  phase_lock_.Reset();
-  phase_io_.Reset();
-  phase_cpu_.Reset();
-  phase_sync_.Reset();
-  sample_totcom_ = 0;
-  std::fill(sample_cpu_busy_.begin(), sample_cpu_busy_.end(), 0.0);
-  std::fill(sample_io_busy_.begin(), sample_io_busy_.end(), 0.0);
-  const double now = sim_.Now();
-  cpu_union_.ResetWindow(now);
-  io_union_.ResetWindow(now);
-  active_stat_.ResetWindow(now);
-  blocked_stat_.ResetWindow(now);
-  pending_stat_.ResetWindow(now);
-  window_start_ = now;
-}
-
-void ExplicitSimulator::InjectInitialTransactions() {
-  for (int64_t i = 0; i < cfg_.ntrans; ++i) {
-    sim_.ScheduleAt(static_cast<double>(i), [this] {
-      Txn* txn = CreateTransaction(sim_.Now());
-      EnqueuePending(txn);
-      PumpLockManager();
-    });
-  }
+void ExplicitSimulator::Arrive() {
+  EnqueuePending(CreateTransaction());
+  PumpLockManager();
 }
 
 void ExplicitSimulator::EnqueuePending(Txn* txn) {
-  txn->pending_since = sim_.Now();
+  txn->pending_since = kernel_.Now();
   pending_.push_back(txn);
   UpdateQueueStats();
 }
 
-ExplicitSimulator::Txn* ExplicitSimulator::CreateTransaction(
-    double arrival_time) {
-  std::unique_ptr<Txn> owned;
-  if (!txn_pool_.empty()) {
-    owned = std::move(txn_pool_.back());
-    txn_pool_.pop_back();
-  } else {
-    owned = std::make_unique<Txn>();
-  }
-  Txn* txn = owned.get();
-  txn->id = next_txn_id_++;
-  txn_factory_->Generate(rng_, &txn->params);
-  txn->arrival_time = arrival_time;
-  if (ctr_txn_created_ != nullptr) ctr_txn_created_->Increment();
+ExplicitSimulator::Txn* ExplicitSimulator::CreateTransaction() {
+  Txn* txn = txns_.Acquire();
+  kernel_.InitTxn(txn, rng_);
   txn->mode =
       rng_.Bernoulli(options_.read_fraction) ? LockMode::kS : LockMode::kX;
   txn->coarse = options_.strategy == LockingStrategy::kHierarchical &&
@@ -417,32 +163,13 @@ ExplicitSimulator::Txn* ExplicitSimulator::CreateTransaction(
       txn->locks_set = static_cast<double>(txn->granules.size());
     }
   }
-  if (options_.trace != nullptr) {
-    options_.trace->Record(sim_.Now(), txn->id, sim::TraceEventType::kCreated,
-                           txn->params.nu);
-  }
-  live_txns_.push_back(std::move(owned));
   return txn;
 }
 
-void ExplicitSimulator::DestroyTransaction(Txn* txn) {
-  auto it = std::find_if(
-      live_txns_.begin(), live_txns_.end(),
-      [txn](const std::unique_ptr<Txn>& p) { return p.get() == txn; });
-  GRANULOCK_CHECK(it != live_txns_.end());
-  // Recycle through the pool: the closed system otherwise churns one
-  // short-lived Txn (three vectors deep) per completion.
-  (*it)->Reset();
-  txn_pool_.push_back(std::move(*it));
-  *it = std::move(live_txns_.back());
-  live_txns_.pop_back();
-}
-
 void ExplicitSimulator::UpdateQueueStats() {
-  const double now = sim_.Now();
-  active_stat_.Update(now, static_cast<double>(active_.size()));
-  blocked_stat_.Update(now, static_cast<double>(blocked_count_));
-  pending_stat_.Update(now, static_cast<double>(pending_.size()));
+  kernel_.SetQueueLengths(static_cast<double>(active_.size()),
+                          static_cast<double>(blocked_count_),
+                          static_cast<double>(pending_.size()));
 }
 
 void ExplicitSimulator::PumpLockManager() {
@@ -461,10 +188,10 @@ void ExplicitSimulator::CheckConsistency() const {
   GRANULOCK_AUDIT_CHECK_GE(outstanding_lock_requests_, 0);
   GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
   GRANULOCK_AUDIT_CHECK_EQ(
-      live_txns_.size(),
+      txns_.live(),
       pending_.size() + static_cast<size_t>(outstanding_lock_requests_) +
           static_cast<size_t>(blocked_count_) + active_.size())
-      << "live=" << live_txns_.size() << " pending=" << pending_.size()
+      << "live=" << txns_.live() << " pending=" << pending_.size()
       << " in_lock=" << outstanding_lock_requests_
       << " blocked=" << blocked_count_ << " active=" << active_.size();
   size_t blocked_from_lists = 0;
@@ -492,28 +219,25 @@ void ExplicitSimulator::CheckConsistency() const {
     GRANULOCK_AUDIT_CHECK_EQ(hier_table_->Empty(), active_.empty());
     hier_table_->CheckConsistency();
   }
+  // Lock phases fan out one kLock job per node (see StartLockIoPhase), so
+  // the pools' lock-epoch audit does not apply; each node audits itself.
+  for (int64_t n = 0; n < cfg_.npros; ++n) {
+    kernel_.cpu().node(n).CheckConsistency();
+    kernel_.io().node(n).CheckConsistency();
+  }
 }
 
 void ExplicitSimulator::BeginLockRequest(Txn* txn) {
   ++outstanding_lock_requests_;
-  ++lock_requests_;
-  const double now = sim_.Now();
-  txn->pending_wait += now - txn->pending_since;
-  txn->lock_since = now;
-  if (options_.obs.spans != nullptr) {
-    options_.obs.spans->Record(txn->id, obs::Phase::kPendingWait,
-                               obs::kLifecycleTrack, txn->pending_since,
-                               now);
-  }
-  if (ctr_lock_requests_ != nullptr) ctr_lock_requests_->Increment();
-  if (options_.trace != nullptr) {
-    options_.trace->Record(sim_.Now(), txn->id,
-                           sim::TraceEventType::kLockRequested,
-                           static_cast<int64_t>(txn->locks_set));
-  }
+  kernel_.ClosePendingWait(txn);
+  kernel_.CountLockRequest(txn->id, static_cast<int64_t>(txn->locks_set));
   StartLockIoPhase(txn);
 }
 
+// Each lock phase is fanned out as one kLock job per node, whose last
+// completion moves on. It is not a `ServerPool::SubmitShared` lock epoch
+// because the per-node completion events are part of this engine's
+// pinned `events_executed`.
 void ExplicitSimulator::StartLockIoPhase(Txn* txn) {
   const double per_node =
       txn->locks_set * cfg_.liotime / static_cast<double>(cfg_.npros);
@@ -523,10 +247,9 @@ void ExplicitSimulator::StartLockIoPhase(Txn* txn) {
   }
   txn->lock_fanin_remaining = cfg_.npros;
   for (int64_t n = 0; n < cfg_.npros; ++n) {
-    io_[static_cast<size_t>(n)]->Submit(
-        ServiceClass::kLock, per_node, [this, txn] {
-          if (--txn->lock_fanin_remaining == 0) StartLockCpuPhase(txn);
-        });
+    kernel_.io().node(n).Submit(ServiceClass::kLock, per_node, [this, txn] {
+      if (--txn->lock_fanin_remaining == 0) StartLockCpuPhase(txn);
+    });
   }
 }
 
@@ -539,10 +262,9 @@ void ExplicitSimulator::StartLockCpuPhase(Txn* txn) {
   }
   txn->lock_fanin_remaining = cfg_.npros;
   for (int64_t n = 0; n < cfg_.npros; ++n) {
-    cpu_[static_cast<size_t>(n)]->Submit(
-        ServiceClass::kLock, per_node, [this, txn] {
-          if (--txn->lock_fanin_remaining == 0) FinishLockRequest(txn);
-        });
+    kernel_.cpu().node(n).Submit(ServiceClass::kLock, per_node, [this, txn] {
+      if (--txn->lock_fanin_remaining == 0) FinishLockRequest(txn);
+    });
   }
 }
 
@@ -623,13 +345,7 @@ void ExplicitSimulator::FinishLockRequest(Txn* txn) {
   const std::optional<lockmgr::TxnId> blocker =
       TryAcquire(txn, prof != nullptr ? &denial : nullptr);
   if (blocker.has_value()) {
-    ++lock_denials_;
-    if (ctr_lock_denials_ != nullptr) ctr_lock_denials_->Increment();
-    if (options_.trace != nullptr) {
-      options_.trace->Record(sim_.Now(), txn->id,
-                             sim::TraceEventType::kLockDenied,
-                             static_cast<int64_t>(*blocker));
-    }
+    kernel_.CountDenial(txn->id, static_cast<int64_t>(*blocker));
     auto it = active_.find(*blocker);
     GRANULOCK_CHECK(it != active_.end())
         << "blocker " << *blocker << " is not active";
@@ -638,15 +354,12 @@ void ExplicitSimulator::FinishLockRequest(Txn* txn) {
     if (prof != nullptr) {
       // Conservative locking cannot chain waiters, so the depth is 1.
       prof->OnBlock(txn->id, denial.key, denial.requested, denial.held,
-                    /*chain_depth=*/1, sim_.Now());
+                    /*chain_depth=*/1, kernel_.Now());
     }
     UpdateQueueStats();
   } else {
-    if (options_.trace != nullptr) {
-      options_.trace->Record(sim_.Now(), txn->id,
-                             sim::TraceEventType::kLockGranted,
-                             static_cast<int64_t>(txn->locks_set));
-    }
+    kernel_.Trace(txn->id, sim::TraceEventType::kLockGranted,
+                  static_cast<int64_t>(txn->locks_set));
     Grant(txn);
   }
   PumpLockManager();
@@ -654,15 +367,7 @@ void ExplicitSimulator::FinishLockRequest(Txn* txn) {
 
 void ExplicitSimulator::Grant(Txn* txn) {
   active_.emplace(txn->id, txn);
-  txn->subtxns_remaining = txn->params.pu;
-  const double now = sim_.Now();
-  txn->lock_wait += now - txn->lock_since;
-  txn->grant_time = now;
-  if (options_.obs.spans != nullptr) {
-    options_.obs.spans->Record(txn->id, obs::Phase::kLockWait,
-                               obs::kLifecycleTrack, txn->lock_since, now);
-  }
-  if (ctr_lock_grants_ != nullptr) ctr_lock_grants_->Increment();
+  kernel_.BeginStage(txn);
   if (auto* prof = options_.obs.contention) {
     if (options_.strategy == LockingStrategy::kHierarchical) {
       if (txn->coarse) {
@@ -682,49 +387,9 @@ void ExplicitSimulator::Grant(Txn* txn) {
     }
   }
   UpdateQueueStats();
-  for (int32_t node : txn->params.nodes) {
-    StartSubTransaction(txn, node);
-  }
-}
-
-void ExplicitSimulator::StartSubTransaction(Txn* txn, int32_t node) {
   const double pu = static_cast<double>(txn->params.pu);
-  const double io_share = txn->params.io_demand / pu;
-  const double cpu_share = txn->params.cpu_demand / pu;
-  auto* io_server = io_[static_cast<size_t>(node)].get();
-  auto* cpu_server = cpu_[static_cast<size_t>(node)].get();
-  io_server->Submit(
-      ServiceClass::kTransaction, io_share,
-      [this, txn, node, cpu_server, cpu_share] {
-        const double io_done = sim_.Now();
-        txn->io_span_sum += io_done - txn->grant_time;
-        if (options_.obs.spans != nullptr) {
-          options_.obs.spans->Record(txn->id, obs::Phase::kIoService, node,
-                                     txn->grant_time, io_done);
-        }
-        cpu_server->Submit(ServiceClass::kTransaction, cpu_share,
-                           [this, txn, node, io_done] {
-                             const double cpu_done = sim_.Now();
-                             txn->cpu_span_sum += cpu_done - io_done;
-                             txn->cpu_done_sum += cpu_done;
-                             if (options_.obs.spans != nullptr) {
-                               options_.obs.spans->Record(
-                                   txn->id, obs::Phase::kCpuService, node,
-                                   io_done, cpu_done);
-                               txn->sub_cpu_done.emplace_back(node,
-                                                              cpu_done);
-                             }
-                             OnSubTransactionDone(txn);
-                           });
-      });
-}
-
-void ExplicitSimulator::OnSubTransactionDone(Txn* txn) {
-  GRANULOCK_CHECK_GT(txn->subtxns_remaining, 0);
-  if (ctr_subtxns_done_ != nullptr) ctr_subtxns_done_->Increment();
-  if (--txn->subtxns_remaining == 0) {
-    Complete(txn);
-  }
+  kernel_.ForkJoin<&ExplicitSimulator::Complete>(
+      this, txn, txn->params.io_demand / pu, txn->params.cpu_demand / pu);
 }
 
 void ExplicitSimulator::Complete(Txn* txn) {
@@ -732,62 +397,26 @@ void ExplicitSimulator::Complete(Txn* txn) {
   auto it = active_.find(txn->id);
   GRANULOCK_CHECK(it != active_.end());
   active_.erase(it);
-
-  const double now = sim_.Now();
-  const double response = now - txn->arrival_time;
-  ++totcom_;
-  response_.Add(response);
-  response_quantiles_.Add(response);
-  const double pu = static_cast<double>(txn->params.pu);
-  phase_pending_.Add(txn->pending_wait);
-  phase_lock_.Add(txn->lock_wait);
-  phase_io_.Add(txn->io_span_sum / pu);
-  phase_cpu_.Add(txn->cpu_span_sum / pu);
-  phase_sync_.Add(now - txn->cpu_done_sum / pu);
-  if (ctr_txn_completed_ != nullptr) ctr_txn_completed_->Increment();
-  if (hist_response_ != nullptr) hist_response_->Observe(response);
-  if (options_.obs.spans != nullptr) {
-    for (const auto& [node, cpu_done] : txn->sub_cpu_done) {
-      options_.obs.spans->Record(txn->id, obs::Phase::kSyncWait, node,
-                                 cpu_done, now);
-    }
-    options_.obs.spans->TxnComplete(txn->id, txn->arrival_time, now,
-                                    txn->params.pu);
-  }
-  if (options_.trace != nullptr) {
-    options_.trace->Record(sim_.Now(), txn->id,
-                           sim::TraceEventType::kCompleted,
-                           static_cast<int64_t>(txn->blocked.size()));
-  }
+  kernel_.RecordCompletion(*txn);
+  kernel_.Trace(txn->id, sim::TraceEventType::kCompleted,
+                static_cast<int64_t>(txn->blocked.size()));
 
   // The blocked stint counts as lock wait, as in the granularity engine.
   blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
   for (Txn* released : txn->blocked) {
-    released->lock_wait += now - released->lock_since;
-    if (auto* prof = options_.obs.contention) {
-      prof->OnUnblock(released->id, now);
-    }
-    if (options_.obs.spans != nullptr) {
-      options_.obs.spans->Record(released->id, obs::Phase::kLockWait,
-                                 obs::kLifecycleTrack, released->lock_since,
-                                 now);
-    }
+    kernel_.Unblock(released);
     EnqueuePending(released);
   }
   txn->blocked.clear();
 
   if (cfg_.think_time > 0.0) {
-    sim_.ScheduleAfter(rng_.Exponential(cfg_.think_time), [this] {
-      Txn* fresh = CreateTransaction(sim_.Now());
-      EnqueuePending(fresh);
-      PumpLockManager();
-    });
+    kernel_.sim().ScheduleAfter(rng_.Exponential(cfg_.think_time),
+                                [this] { Arrive(); });
   } else {
-    Txn* fresh = CreateTransaction(sim_.Now());
-    EnqueuePending(fresh);
+    EnqueuePending(CreateTransaction());
   }
 
-  DestroyTransaction(txn);
+  txns_.Release(txn);
   UpdateQueueStats();
   PumpLockManager();
 }

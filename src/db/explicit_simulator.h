@@ -6,18 +6,15 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
+#include "core/closed_system_kernel.h"
+#include "core/fault.h"
 #include "core/metrics.h"
 #include "db/granule_selector.h"
 #include "lockmgr/hierarchical.h"
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
 #include "obs/hooks.h"
-#include "sim/busy_union.h"
-#include "sim/priority_server.h"
-#include "sim/simulator.h"
-#include "sim/stats.h"
 #include "sim/trace.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -75,6 +72,10 @@ class ExplicitSimulator {
     /// Optional observability sinks (not owned; must outlive the run).
     /// Attaching any of them never changes simulated results.
     obs::Hooks obs;
+    /// Optional per-cell watchdog (not owned; must outlive the run),
+    /// polled from observer events exactly as in
+    /// `core::GranularitySimulator::Options::watchdog`.
+    const fault::CellWatchdog* watchdog = nullptr;
   };
 
   ExplicitSimulator(model::SystemConfig cfg, workload::WorkloadSpec spec,
@@ -104,33 +105,26 @@ class ExplicitSimulator {
   /// Deep audit (runs at quiescent points when
   /// `sim::invariants::DeepAuditEnabled()`): closed-system conservation,
   /// blocked-list accounting, depth-one waits-for (conservative locking
-  /// cannot chain waiters), and the active lock table's own
-  /// `CheckConsistency` — every active transaction holds locks, nobody
-  /// else does.
+  /// cannot chain waiters), every node server's own `CheckConsistency`,
+  /// and the active lock table's own `CheckConsistency` — every active
+  /// transaction holds locks, nobody else does.
   void CheckConsistency() const;
 
-  void InjectInitialTransactions();
+  void Arrive();
   void PumpLockManager();
   void BeginLockRequest(Txn* txn);
   void StartLockIoPhase(Txn* txn);
   void StartLockCpuPhase(Txn* txn);
   void FinishLockRequest(Txn* txn);
   void Grant(Txn* txn);
-  void StartSubTransaction(Txn* txn, int32_t node);
-  void OnSubTransactionDone(Txn* txn);
   void Complete(Txn* txn);
 
-  Txn* CreateTransaction(double arrival_time);
-  void DestroyTransaction(Txn* txn);
+  /// Draws a fresh transaction: parameters, lock mode and granule set.
+  Txn* CreateTransaction();
   void EnqueuePending(Txn* txn);
   void UpdateQueueStats();
-  void BeginMeasurement();
-  void SetUpObservability();
-  void SampleTick();
-  /// One periodic contention-profiler sample (observer event; only
-  /// scheduled when options_.obs.contention is set).
-  void ContentionTick();
-  void PublishRunProfile(double wall_seconds);
+  /// Contention-profiler sample: waits-for edges and lock-table occupancy.
+  double ContentionSample(core::ClosedSystemKernel::Edges* edges) const;
 
   /// Contention attribution for a refused acquisition, in the profiler's
   /// key space (granule g -> g, file f -> FileObjectKey(f), root ->
@@ -150,61 +144,17 @@ class ExplicitSimulator {
   model::SystemConfig cfg_;
   workload::WorkloadSpec spec_;
   Options options_;
-  /// Built in `Run()` (needs a validated spec); amortizes lock-demand and
-  /// node-set work across every transaction the run creates.
-  std::optional<workload::TransactionFactory> txn_factory_;
+  core::ClosedSystemKernel kernel_;
+  core::TxnPool<Txn> txns_;
   Rng rng_;
-
-  sim::Simulator sim_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> cpu_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> io_;
-  sim::BusyUnionTracker cpu_union_;
-  sim::BusyUnionTracker io_union_;
 
   std::unique_ptr<lockmgr::LockTable> flat_table_;
   std::unique_ptr<lockmgr::HierarchicalLockManager> hier_table_;
 
   std::deque<Txn*> pending_;
   std::unordered_map<lockmgr::TxnId, Txn*> active_;
-  std::vector<std::unique_ptr<Txn>> live_txns_;
-  std::vector<std::unique_ptr<Txn>> txn_pool_;  // recycled Txn objects
   int64_t blocked_count_ = 0;
   int outstanding_lock_requests_ = 0;
-
-  int64_t totcom_ = 0;
-  int64_t lock_requests_ = 0;
-  int64_t lock_denials_ = 0;
-  sim::RunningStat response_;
-  sim::QuantileEstimator response_quantiles_;
-  sim::TimeWeightedStat active_stat_;
-  sim::TimeWeightedStat blocked_stat_;
-  sim::TimeWeightedStat pending_stat_;
-  double window_start_ = 0.0;
-
-  // Response-time decomposition (always on; see SimulationMetrics).
-  sim::RunningStat phase_pending_;
-  sim::RunningStat phase_lock_;
-  sim::RunningStat phase_io_;
-  sim::RunningStat phase_cpu_;
-  sim::RunningStat phase_sync_;
-
-  // Cached registry instruments (null unless options_.obs.registry set).
-  obs::Counter* ctr_txn_created_ = nullptr;
-  obs::Counter* ctr_lock_requests_ = nullptr;
-  obs::Counter* ctr_lock_denials_ = nullptr;
-  obs::Counter* ctr_lock_grants_ = nullptr;
-  obs::Counter* ctr_subtxns_done_ = nullptr;
-  obs::Counter* ctr_txn_completed_ = nullptr;
-  obs::Histogram* hist_response_ = nullptr;
-
-  // Sampler baselines for per-interval deltas.
-  std::vector<double> sample_cpu_busy_;
-  std::vector<double> sample_io_busy_;
-  int64_t sample_totcom_ = 0;
-  double sample_time_ = 0.0;
-
-  uint64_t next_txn_id_ = 1;
-  bool ran_ = false;
 };
 
 }  // namespace granulock::db

@@ -8,15 +8,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/closed_system_kernel.h"
+#include "core/fault.h"
 #include "core/metrics.h"
 #include "db/contention_policy.h"
 #include "lockmgr/wait_queue_table.h"
 #include "lockmgr/waits_for.h"
 #include "model/config.h"
 #include "obs/hooks.h"
-#include "sim/server_pool.h"
-#include "sim/simulator.h"
-#include "sim/stats.h"
 #include "sim/trace.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -77,6 +76,10 @@ class IncrementalSimulator {
     /// time, and deadlock abort/backoff; `phase_pending_wait` is 0 (no
     /// pending queue).
     obs::Hooks obs;
+    /// Optional per-cell watchdog (not owned; must outlive the run),
+    /// polled from observer events exactly as in
+    /// `core::GranularitySimulator::Options::watchdog`.
+    const fault::CellWatchdog* watchdog = nullptr;
   };
 
   IncrementalSimulator(model::SystemConfig cfg, workload::WorkloadSpec spec,
@@ -121,8 +124,8 @@ class IncrementalSimulator {
   void PayLockCost(Txn* txn);
   void PayLockCpuCost(Txn* txn);
   void OnLockCostPaid(Txn* txn);
-  void OnLockGranted(Txn* txn);
   void DoStageWork(Txn* txn);
+  /// The current stage's fork-join has joined.
   void OnStageDone(Txn* txn);
   void Complete(Txn* txn);
   /// Runs the contention policy after `txn` queued on `granule`: aborts
@@ -148,34 +151,26 @@ class IncrementalSimulator {
   /// controller is disabled).
   void AdmissionTick();
 
-  Txn* CreateTransaction(double arrival_time);
+  /// Creates a transaction and admits (or parks) it.
+  void Arrive();
+  /// Draws a fresh transaction: parameters, lock mode, acquisition order.
+  Txn* CreateTransaction();
   void DestroyTransaction(Txn* txn);
   void UpdateQueueStats();
-  void BeginMeasurement();
-  void SetUpObservability();
-  void SampleTick();
-  /// One periodic contention-profiler sample (observer event; only
-  /// scheduled when options_.obs.contention is set).
-  void ContentionTick();
-  void PublishRunProfile(double wall_seconds);
+  /// Contention-profiler sample: waits-for edges rebuilt from the wait
+  /// queues, and lock-table occupancy.
+  double ContentionSample(core::ClosedSystemKernel::Edges* edges) const;
 
   model::SystemConfig cfg_;
   workload::WorkloadSpec spec_;
   Options options_;
-  /// Built in `Run()` (needs a validated spec); amortizes lock-demand and
-  /// node-set work across every transaction the run creates.
-  std::optional<workload::TransactionFactory> txn_factory_;
+  core::ClosedSystemKernel kernel_;
+  core::TxnPool<Txn> txns_;
   Rng rng_;
-
-  sim::Simulator sim_;
-  std::optional<sim::ServerPool> cpu_;
-  std::optional<sim::ServerPool> io_;
 
   std::unique_ptr<lockmgr::WaitQueueLockTable> table_;
   lockmgr::WaitsForGraph waits_for_;
   std::unordered_map<lockmgr::TxnId, Txn*> txn_by_id_;
-  std::vector<std::unique_ptr<Txn>> live_txns_;
-  std::vector<std::unique_ptr<Txn>> txn_pool_;  // recycled Txn objects
   int64_t waiting_count_ = 0;
   int64_t running_count_ = 0;
   /// Deadlock victims sleeping out their restart backoff (they hold no
@@ -190,47 +185,11 @@ class IncrementalSimulator {
   /// controller, FIFO. They hold no locks and occupy no MPL slot.
   std::deque<Txn*> admission_queue_;
   int64_t admission_held_ = 0;
-  sim::TimeWeightedStat admission_stat_;
-
-  int64_t totcom_ = 0;
-  int64_t lock_requests_ = 0;
-  int64_t lock_waits_ = 0;
-  int64_t deadlock_aborts_ = 0;
-  int64_t txn_restarts_ = 0;
-  int64_t txn_sacrificed_ = 0;
-  sim::RunningStat response_;
-  sim::QuantileEstimator response_quantiles_;
-  sim::TimeWeightedStat active_stat_;
-  sim::TimeWeightedStat blocked_stat_;
-  double window_start_ = 0.0;
-
-  // Response-time decomposition (always on; see SimulationMetrics).
-  sim::RunningStat phase_pending_;  // admission-queue wait (0 when disabled)
-  sim::RunningStat phase_lock_;
-  sim::RunningStat phase_io_;
-  sim::RunningStat phase_cpu_;
-  sim::RunningStat phase_sync_;
-
-  // Cached registry instruments (null unless options_.obs.registry set).
-  obs::Counter* ctr_txn_created_ = nullptr;
-  obs::Counter* ctr_lock_requests_ = nullptr;
-  obs::Counter* ctr_lock_denials_ = nullptr;
-  obs::Counter* ctr_lock_grants_ = nullptr;
-  obs::Counter* ctr_subtxns_done_ = nullptr;
-  obs::Counter* ctr_txn_completed_ = nullptr;
+  /// Not a kernel instrument: only this engine aborts transactions.
   obs::Counter* ctr_deadlock_aborts_ = nullptr;
-  obs::Histogram* hist_response_ = nullptr;
 
-  // Sampler baselines for per-interval deltas.
-  std::vector<double> sample_cpu_busy_;
-  std::vector<double> sample_io_busy_;
-  int64_t sample_totcom_ = 0;
-  double sample_time_ = 0.0;
-
-  uint64_t next_txn_id_ = 1;
   /// The run's seed, kept as the policy_victim_flip fault-injection key.
   uint64_t seed_ = 0;
-  bool ran_ = false;
 };
 
 }  // namespace granulock::db

@@ -46,7 +46,11 @@ struct TransferSimulator::Txn {
 
 TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed,
                                      Options options)
-    : cfg_(std::move(cfg)), options_(options), rng_(seed) {}
+    : cfg_(std::move(cfg)),
+      options_(options),
+      kernel_(cfg_, obs::Hooks{nullptr, nullptr, nullptr, options_.contention},
+              /*trace=*/nullptr, /*watchdog=*/nullptr),
+      rng_(seed) {}
 
 TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed)
     : TransferSimulator(std::move(cfg), seed, Options{}) {}
@@ -69,11 +73,7 @@ int64_t TransferSimulator::GranuleOfAccount(int64_t account) const {
 }
 
 Result<TransferSimulator::Report> TransferSimulator::Run() {
-  if (ran_) {
-    return Status::FailedPrecondition("Run() may only be called once");
-  }
-  ran_ = true;
-  GRANULOCK_RETURN_NOT_OK(cfg_.Validate());
+  GRANULOCK_RETURN_NOT_OK(kernel_.Begin(/*spec=*/nullptr));
   if (cfg_.dbsize < 2) {
     return Status::InvalidArgument("transfers need at least two accounts");
   }
@@ -92,73 +92,9 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   table_ = std::make_unique<lockmgr::LockTable>(cfg_.ltot);
   const int64_t initial_total = store_->Total();
 
-  cpu_.emplace(&sim_, "cpu", cfg_.npros);
-  io_.emplace(&sim_, "io", cfg_.npros);
-
-  if (auto* prof = options_.contention) {
-    prof->BeginRun(cfg_.ltot, /*imputed=*/false);
-    const double iv = prof->options().sample_interval;
-    if (iv > 0.0 && iv <= cfg_.tmax) {
-      sim_.ScheduleObserverAt(iv, [this] { ContentionTick(); });
-    }
-  }
-
-  active_stat_.Start(0.0, 0.0);
-  blocked_stat_.Start(0.0, 0.0);
-  pending_stat_.Start(0.0, 0.0);
-  window_start_ = cfg_.warmup;
-  if (cfg_.warmup > 0.0) {
-    sim_.ScheduleAt(cfg_.warmup, [this] { BeginMeasurement(); });
-  }
-
-  for (int64_t i = 0; i < cfg_.ntrans; ++i) {
-    sim_.ScheduleAt(static_cast<double>(i), [this] {
-      Txn* txn = CreateTransaction(sim_.Now());
-      pending_.push_back(txn);
-      UpdateQueueStats();
-      PumpLockManager();
-    });
-  }
-  sim_.RunUntil(cfg_.tmax);
-
+  kernel_.Open<&TransferSimulator::ContentionSample>(this, /*imputed=*/false);
   Report report;
-  core::SimulationMetrics& m = report.metrics;
-  m.measured_time = cfg_.tmax - window_start_;
-  m.totcpus_sum = cpu_->TotalBusyTimeSum();
-  m.totios_sum = io_->TotalBusyTimeSum();
-  m.lockcpus_sum = cpu_->LockBusyTimeSum();
-  m.lockios_sum = io_->LockBusyTimeSum();
-  m.totcpus = cpu_->busy_union().AnyBusyTime(cfg_.tmax);
-  m.lockcpus = cpu_->busy_union().LockBusyTime(cfg_.tmax);
-  m.totios = io_->busy_union().AnyBusyTime(cfg_.tmax);
-  m.lockios = io_->busy_union().LockBusyTime(cfg_.tmax);
-  const double npros = static_cast<double>(cfg_.npros);
-  m.usefulcpus = (m.totcpus - m.lockcpus) / npros;
-  m.usefulios = (m.totios - m.lockios) / npros;
-  m.totcom = totcom_;
-  m.throughput =
-      m.measured_time > 0.0 ? static_cast<double>(totcom_) / m.measured_time
-                            : 0.0;
-  m.response_time = response_.Mean();
-  m.response_time_stddev = response_.StdDev();
-  m.response_p50 = response_quantiles_.Quantile(0.50);
-  m.response_p95 = response_quantiles_.Quantile(0.95);
-  m.response_p99 = response_quantiles_.Quantile(0.99);
-  m.lock_requests = lock_requests_;
-  m.lock_denials = lock_denials_;
-  m.denial_rate = lock_requests_ > 0 ? static_cast<double>(lock_denials_) /
-                                           static_cast<double>(lock_requests_)
-                                     : 0.0;
-  m.avg_active = active_stat_.Average(cfg_.tmax);
-  m.avg_blocked = blocked_stat_.Average(cfg_.tmax);
-  m.avg_pending = pending_stat_.Average(cfg_.tmax);
-  m.cpu_utilization =
-      m.measured_time > 0.0 ? m.totcpus_sum / (npros * m.measured_time)
-                            : 0.0;
-  m.io_utilization =
-      m.measured_time > 0.0 ? m.totios_sum / (npros * m.measured_time) : 0.0;
-  m.events_executed = sim_.ExecutedEvents();
-
+  report.metrics = kernel_.RunToHorizon<&TransferSimulator::Arrive>(this);
   report.initial_total = initial_total;
   report.final_total = store_->Total();
   report.in_flight_imbalance = net_applied_;
@@ -168,33 +104,16 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   return report;
 }
 
-void TransferSimulator::BeginMeasurement() {
-  cpu_->ResetStats();
-  io_->ResetStats();
-  totcom_ = 0;
-  lock_requests_ = 0;
-  lock_denials_ = 0;
-  response_.Reset();
-  response_quantiles_.Reset();
-  const double now = sim_.Now();
-  active_stat_.ResetWindow(now);
-  blocked_stat_.ResetWindow(now);
-  pending_stat_.ResetWindow(now);
-  window_start_ = now;
+void TransferSimulator::Arrive() {
+  pending_.push_back(CreateTransaction());
+  UpdateQueueStats();
+  PumpLockManager();
 }
 
-TransferSimulator::Txn* TransferSimulator::CreateTransaction(
-    double arrival_time) {
-  std::unique_ptr<Txn> owned;
-  if (!txn_pool_.empty()) {
-    owned = std::move(txn_pool_.back());
-    txn_pool_.pop_back();
-  } else {
-    owned = std::make_unique<Txn>();
-  }
-  Txn* txn = owned.get();
-  txn->id = next_txn_id_++;
-  txn->arrival_time = arrival_time;
+TransferSimulator::Txn* TransferSimulator::CreateTransaction() {
+  Txn* txn = txns_.Acquire();
+  txn->id = kernel_.NextTxnId();
+  txn->arrival_time = kernel_.Now();
   const auto draw_account = [this] {
     return zipf_ ? zipf_->Sample(rng_) : rng_.UniformInt(0, cfg_.dbsize - 1);
   };
@@ -204,28 +123,13 @@ TransferSimulator::Txn* TransferSimulator::CreateTransaction(
     txn->to = draw_account();
   } while (txn->to == txn->from);
   txn->amount = rng_.UniformInt(1, 10);
-  live_txns_.push_back(std::move(owned));
   return txn;
 }
 
-void TransferSimulator::DestroyTransaction(Txn* txn) {
-  auto it = std::find_if(
-      live_txns_.begin(), live_txns_.end(),
-      [txn](const std::unique_ptr<Txn>& p) { return p.get() == txn; });
-  GRANULOCK_CHECK(it != live_txns_.end());
-  // Recycle through the pool: the closed system otherwise churns one
-  // short-lived Txn per completion.
-  (*it)->Reset();
-  txn_pool_.push_back(std::move(*it));
-  *it = std::move(live_txns_.back());
-  live_txns_.pop_back();
-}
-
 void TransferSimulator::UpdateQueueStats() {
-  const double now = sim_.Now();
-  active_stat_.Update(now, static_cast<double>(active_.size()));
-  blocked_stat_.Update(now, static_cast<double>(blocked_count_));
-  pending_stat_.Update(now, static_cast<double>(pending_.size()));
+  kernel_.SetQueueLengths(static_cast<double>(active_.size()),
+                          static_cast<double>(blocked_count_),
+                          static_cast<double>(pending_.size()));
 }
 
 void TransferSimulator::PumpLockManager() {
@@ -249,10 +153,10 @@ void TransferSimulator::CheckConsistency() const {
   GRANULOCK_AUDIT_CHECK_GE(outstanding_lock_requests_, 0);
   GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
   GRANULOCK_AUDIT_CHECK_EQ(
-      live_txns_.size(),
+      txns_.live(),
       pending_.size() + static_cast<size_t>(outstanding_lock_requests_) +
           static_cast<size_t>(blocked_count_) + active_.size())
-      << "live=" << live_txns_.size() << " pending=" << pending_.size()
+      << "live=" << txns_.live() << " pending=" << pending_.size()
       << " in_lock=" << outstanding_lock_requests_
       << " blocked=" << blocked_count_ << " active=" << active_.size();
   size_t blocked_from_lists = 0;
@@ -273,18 +177,17 @@ void TransferSimulator::CheckConsistency() const {
         static_cast<size_t>(table_->ActiveTransactions()), active_.size());
     table_->CheckConsistency();
   }
-  cpu_->CheckConsistency();
-  io_->CheckConsistency();
+  kernel_.CheckConsistency();
 }
 
 void TransferSimulator::BeginLockRequest(Txn* txn) {
   ++outstanding_lock_requests_;
-  ++lock_requests_;
   // Lock cost per the paper's model: per-lock I/O then CPU, shared across
   // all nodes at preemptive priority.
   const int64_t granule_a = GranuleOfAccount(txn->from);
   const int64_t granule_b = GranuleOfAccount(txn->to);
   const double locks = granule_a == granule_b ? 1.0 : 2.0;
+  kernel_.CountLockRequest(txn->id, static_cast<int64_t>(locks));
   const double npros = static_cast<double>(cfg_.npros);
   const double io_share = locks * cfg_.liotime / npros;
   const double cpu_share = locks * cfg_.lcputime / npros;
@@ -292,7 +195,7 @@ void TransferSimulator::BeginLockRequest(Txn* txn) {
     StartLockCpuPhase(txn, cpu_share);
     return;
   }
-  io_->SubmitShared(io_share, [this, txn, cpu_share] {
+  kernel_.io().SubmitShared(io_share, [this, txn, cpu_share] {
     StartLockCpuPhase(txn, cpu_share);
   });
 }
@@ -302,7 +205,8 @@ void TransferSimulator::StartLockCpuPhase(Txn* txn, double cpu_share) {
     FinishLockRequest(txn);
     return;
   }
-  cpu_->SubmitShared(cpu_share, [this, txn] { FinishLockRequest(txn); });
+  kernel_.cpu().SubmitShared(cpu_share,
+                             [this, txn] { FinishLockRequest(txn); });
 }
 
 void TransferSimulator::FinishLockRequest(Txn* txn) {
@@ -316,7 +220,7 @@ void TransferSimulator::FinishLockRequest(Txn* txn) {
   const auto blocker = table_->TryAcquireAll(
       txn->id, requests, prof != nullptr ? &conflict : nullptr);
   if (blocker.has_value()) {
-    ++lock_denials_;
+    kernel_.CountDenial(txn->id, static_cast<int64_t>(*blocker));
     auto it = active_.find(*blocker);
     GRANULOCK_CHECK(it != active_.end());
     it->second->blocked.push_back(txn);
@@ -324,7 +228,7 @@ void TransferSimulator::FinishLockRequest(Txn* txn) {
     if (prof != nullptr) {
       // Conservative locking cannot chain waiters, so the depth is 1.
       prof->OnBlock(txn->id, conflict.granule, conflict.requested,
-                    conflict.held, /*chain_depth=*/1, sim_.Now());
+                    conflict.held, /*chain_depth=*/1, kernel_.Now());
     }
     UpdateQueueStats();
   } else {
@@ -339,34 +243,23 @@ void TransferSimulator::FinishLockRequest(Txn* txn) {
   PumpLockManager();
 }
 
-void TransferSimulator::ContentionTick() {
-  auto* prof = options_.contention;
-  const double now = sim_.Now();
-  std::vector<std::pair<uint64_t, uint64_t>> edges;
+double TransferSimulator::ContentionSample(
+    core::ClosedSystemKernel::Edges* edges) const {
   for (const auto& [id, holder] : active_) {
     for (const Txn* waiter : holder->blocked) {
-      edges.emplace_back(waiter->id, id);
+      edges->emplace_back(waiter->id, id);
     }
   }
-  const double ntrans = static_cast<double>(cfg_.ntrans);
-  const double blocked_fraction =
-      ntrans > 0.0 ? static_cast<double>(blocked_count_) / ntrans : 0.0;
-  const double occupancy =
-      cfg_.ltot > 0
-          ? std::min(1.0, static_cast<double>(table_->LockedGranules()) /
-                              static_cast<double>(cfg_.ltot))
-          : 0.0;
-  prof->OnSample(now, blocked_fraction, occupancy, std::move(edges));
-  const double iv = prof->options().sample_interval;
-  if (now + iv <= cfg_.tmax) {
-    sim_.ScheduleObserverAfter(iv, [this] { ContentionTick(); });
-  }
+  return cfg_.ltot > 0
+             ? std::min(1.0, static_cast<double>(table_->LockedGranules()) /
+                                 static_cast<double>(cfg_.ltot))
+             : 0.0;
 }
 
 void TransferSimulator::StartReads(Txn* txn) {
   txn->phase_remaining = 2;
   const auto read = [this, txn](int64_t account, int64_t* slot) {
-    io_->node(store_->NodeOf(account)).Submit(
+    kernel_.io().node(store_->NodeOf(account)).Submit(
         ServiceClass::kTransaction, cfg_.iotime,
         [this, txn, account, slot] {
           // The balance is captured at read-completion time; it can go
@@ -383,7 +276,7 @@ void TransferSimulator::OnReadsDone(Txn* txn) {
   if (--txn->phase_remaining > 0) return;
   // Compute phase: validate and build the new balances on the debit
   // account's CPU.
-  cpu_->node(store_->NodeOf(txn->from)).Submit(
+  kernel_.cpu().node(store_->NodeOf(txn->from)).Submit(
       ServiceClass::kTransaction, 2.0 * cfg_.cputime,
       [this, txn] { StartWrites(txn); });
 }
@@ -391,7 +284,7 @@ void TransferSimulator::OnReadsDone(Txn* txn) {
 void TransferSimulator::StartWrites(Txn* txn) {
   const auto write = [this, txn](int64_t account, int64_t value,
                                  int64_t delta) {
-    io_->node(store_->NodeOf(account)).Submit(
+    kernel_.io().node(store_->NodeOf(account)).Submit(
         ServiceClass::kTransaction, cfg_.iotime,
         [this, txn, account, value, delta] {
           store_->Write(account, value);
@@ -415,23 +308,20 @@ void TransferSimulator::Complete(Txn* txn) {
   GRANULOCK_CHECK(it != active_.end());
   active_.erase(it);
 
-  ++totcom_;
-  response_.Add(sim_.Now() - txn->arrival_time);
-  response_quantiles_.Add(sim_.Now() - txn->arrival_time);
+  kernel_.CountCompletion(kernel_.Now() - txn->arrival_time);
 
   blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
   for (Txn* released : txn->blocked) {
     if (auto* prof = options_.contention) {
-      prof->OnUnblock(released->id, sim_.Now());
+      prof->OnUnblock(released->id, kernel_.Now());
     }
     pending_.push_back(released);
   }
   txn->blocked.clear();
 
-  Txn* fresh = CreateTransaction(sim_.Now());
-  pending_.push_back(fresh);
+  pending_.push_back(CreateTransaction());
 
-  DestroyTransaction(txn);
+  txns_.Release(txn);
   UpdateQueueStats();
   PumpLockManager();
 }

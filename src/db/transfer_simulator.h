@@ -4,17 +4,14 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "core/closed_system_kernel.h"
 #include "core/metrics.h"
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
 #include "obs/contention.h"
-#include "sim/server_pool.h"
-#include "sim/simulator.h"
-#include "sim/stats.h"
 #include "storage/record_store.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -113,6 +110,7 @@ class TransferSimulator {
   /// invariants with exactly the active transactions holding locks.
   void CheckConsistency() const;
 
+  void Arrive();
   void PumpLockManager();
   void BeginLockRequest(Txn* txn);
   void StartLockCpuPhase(Txn* txn, double cpu_share);
@@ -122,22 +120,17 @@ class TransferSimulator {
   void StartWrites(Txn* txn);
   void Complete(Txn* txn);
 
-  Txn* CreateTransaction(double arrival_time);
-  void DestroyTransaction(Txn* txn);
+  Txn* CreateTransaction();
   void UpdateQueueStats();
-  void BeginMeasurement();
-  /// One periodic contention-profiler sample (observer event; only
-  /// scheduled when options_.contention is set).
-  void ContentionTick();
+  /// Contention-profiler sample: waits-for edges and lock-table occupancy.
+  double ContentionSample(core::ClosedSystemKernel::Edges* edges) const;
   int64_t GranuleOfAccount(int64_t account) const;
 
   model::SystemConfig cfg_;
   Options options_;
+  core::ClosedSystemKernel kernel_;
+  core::TxnPool<Txn> txns_;
   Rng rng_;
-
-  sim::Simulator sim_;
-  std::optional<sim::ServerPool> cpu_;
-  std::optional<sim::ServerPool> io_;
 
   std::unique_ptr<storage::RecordStore> store_;
   std::unique_ptr<ZipfGenerator> zipf_;
@@ -145,25 +138,10 @@ class TransferSimulator {
 
   std::deque<Txn*> pending_;
   std::unordered_map<lockmgr::TxnId, Txn*> active_;
-  std::vector<std::unique_ptr<Txn>> live_txns_;
-  std::vector<std::unique_ptr<Txn>> txn_pool_;  // recycled Txn objects
   int64_t blocked_count_ = 0;
   int outstanding_lock_requests_ = 0;
   /// Net intended delta of applied writes (see Report::in_flight_imbalance).
   int64_t net_applied_ = 0;
-
-  int64_t totcom_ = 0;
-  int64_t lock_requests_ = 0;
-  int64_t lock_denials_ = 0;
-  sim::RunningStat response_;
-  sim::QuantileEstimator response_quantiles_;
-  sim::TimeWeightedStat active_stat_;
-  sim::TimeWeightedStat blocked_stat_;
-  sim::TimeWeightedStat pending_stat_;
-  double window_start_ = 0.0;
-
-  uint64_t next_txn_id_ = 1;
-  bool ran_ = false;
 };
 
 }  // namespace granulock::db

@@ -41,7 +41,10 @@ namespace granulock::sim {
 /// Transaction work goes to one node through `node(i).Submit` with
 /// `ServiceClass::kTransaction`. Lock work must go through `SubmitShared`;
 /// a per-node `kLock` submission breaks the mirror, which
-/// `CheckConsistency` reports.
+/// `CheckConsistency` reports. One exception: `db::ExplicitSimulator`
+/// still fans its lock phases out as per-node `kLock` jobs, because its
+/// per-node completion events are pinned in a benchmark reference; it
+/// audits each node's own `PriorityServer::CheckConsistency` instead.
 class ServerPool {
  public:
   using Completion = PriorityServer::Completion;
@@ -60,6 +63,9 @@ class ServerPool {
 
   /// Node `i`'s server, for its transaction work.
   PriorityServer& node(int64_t i) { return nodes_[static_cast<size_t>(i)]; }
+  const PriorityServer& node(int64_t i) const {
+    return nodes_[static_cast<size_t>(i)];
+  }
 
   /// Union busy time over the nodes (see `BusyUnionTracker`).
   const BusyUnionTracker& busy_union() const { return union_; }

@@ -7,6 +7,7 @@
 #include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "core/granularity_simulator.h"
+#include "db/explicit_simulator.h"
 #include "db/incremental_simulator.h"
 #include "obs/registry.h"
 #include "sim/invariants.h"
@@ -48,9 +49,23 @@ model::SystemConfig SmallConfig() {
   return cfg;
 }
 
+/// A cell body running `engine` ("granularity", "explicit" or
+/// "incremental") with the cell's watchdog attached.
 core::CellBody SimBody(const model::SystemConfig& cfg,
-                       const workload::WorkloadSpec& spec, uint64_t seed) {
-  return [&cfg, &spec, seed](const fault::CellWatchdog* wd) {
+                       const workload::WorkloadSpec& spec, uint64_t seed,
+                       const std::string& engine = "granularity") {
+  return [&cfg, &spec, seed,
+          engine](const fault::CellWatchdog* wd) -> Result<SimulationMetrics> {
+    if (engine == "explicit") {
+      db::ExplicitSimulator::Options options;
+      options.watchdog = wd;
+      return db::ExplicitSimulator::RunOnce(cfg, spec, seed, options);
+    }
+    if (engine == "incremental") {
+      db::IncrementalSimulator::Options options;
+      options.watchdog = wd;
+      return db::IncrementalSimulator::RunOnce(cfg, spec, seed, options);
+    }
     core::GranularitySimulator::Options options;
     options.watchdog = wd;
     return core::GranularitySimulator::RunOnce(cfg, spec, seed, options);
@@ -237,24 +252,35 @@ TEST_F(FaultInjectionTest, ExhaustedRetriesReportTheLastAttempt) {
             std::string::npos);
 }
 
-TEST_F(FaultInjectionTest, InjectedTimeoutBecomesDeadlineExceeded) {
+/// The watchdog contract, held by every engine the benches run under a
+/// cell watchdog.
+class WatchdogEngineTest : public FaultInjectionTest,
+                           public ::testing::WithParamInterface<std::string> {
+};
+
+INSTANTIATE_TEST_SUITE_P(Engines, WatchdogEngineTest,
+                         ::testing::Values("granularity", "explicit",
+                                           "incremental"),
+                         [](const auto& info) { return info.param; });
+
+TEST_P(WatchdogEngineTest, InjectedTimeoutBecomesDeadlineExceeded) {
   const model::SystemConfig cfg = SmallConfig();
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
   ASSERT_TRUE(Injector::Global().ArmFromFlag("cell_timeout@0").ok());
-  const CellOutcome out =
-      RunCell(CellPolicy{}, CellKey{0, 0, 0}, 9, SimBody(cfg, spec, 9));
+  const CellOutcome out = RunCell(CellPolicy{}, CellKey{0, 0, 0}, 9,
+                                  SimBody(cfg, spec, 9, GetParam()));
   EXPECT_FALSE(out.result.ok());
   EXPECT_TRUE(out.timed_out);
   EXPECT_EQ(out.result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST_F(FaultInjectionTest, RealWallDeadlineBecomesDeadlineExceeded) {
+TEST_P(WatchdogEngineTest, RealWallDeadlineBecomesDeadlineExceeded) {
   const model::SystemConfig cfg = SmallConfig();
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
   CellPolicy policy;
   policy.cell_timeout_s = 1e-9;  // expires before the first watchdog poll
-  const CellOutcome out =
-      RunCell(policy, CellKey{0, 0, 0}, 11, SimBody(cfg, spec, 11));
+  const CellOutcome out = RunCell(policy, CellKey{0, 0, 0}, 11,
+                                  SimBody(cfg, spec, 11, GetParam()));
   EXPECT_FALSE(out.result.ok());
   EXPECT_TRUE(out.timed_out);
   EXPECT_EQ(out.result.status().code(), StatusCode::kDeadlineExceeded);
@@ -262,18 +288,18 @@ TEST_F(FaultInjectionTest, RealWallDeadlineBecomesDeadlineExceeded) {
             std::string::npos);
 }
 
-TEST_F(FaultInjectionTest, WatchdogDoesNotPerturbSimulatedResults) {
+TEST_P(WatchdogEngineTest, WatchdogDoesNotPerturbSimulatedResults) {
   const model::SystemConfig cfg = SmallConfig();
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
-  const CellOutcome clean =
-      RunCell(CellPolicy{}, CellKey{0, 0, 0}, 5, SimBody(cfg, spec, 5));
+  const CellOutcome clean = RunCell(CellPolicy{}, CellKey{0, 0, 0}, 5,
+                                    SimBody(cfg, spec, 5, GetParam()));
   ASSERT_TRUE(clean.result.ok());
   // A generous deadline arms the watchdog observer chain but never fires;
   // the metrics must be bit-identical to the unwatched run.
   CellPolicy policy;
   policy.cell_timeout_s = 3600.0;
-  const CellOutcome watched =
-      RunCell(policy, CellKey{0, 0, 0}, 5, SimBody(cfg, spec, 5));
+  const CellOutcome watched = RunCell(policy, CellKey{0, 0, 0}, 5,
+                                      SimBody(cfg, spec, 5, GetParam()));
   ASSERT_TRUE(watched.result.ok());
   EXPECT_EQ(Encoded(*watched.result), Encoded(*clean.result));
 }

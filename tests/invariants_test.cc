@@ -82,6 +82,9 @@ namespace granulock::db {
 
 struct AuditTestPeer {
   static auto& BlockedCount(ExplicitSimulator& s) { return s.blocked_count_; }
+  static sim::ServerPool& Disks(ExplicitSimulator& s) {
+    return s.kernel_.io();
+  }
   static void Check(const ExplicitSimulator& s) { s.CheckConsistency(); }
   static auto& InBackoff(IncrementalSimulator& s) { return s.in_backoff_; }
   static void Check(const IncrementalSimulator& s) { s.CheckConsistency(); }
@@ -527,6 +530,24 @@ TEST_F(EngineAuditTest, ExplicitEngineRunsCleanAndDetectsCorruption) {
   EXPECT_EQ(capture.count(), 0);
 
   db::AuditTestPeer::BlockedCount(engine) += 1;
+  db::AuditTestPeer::Check(engine);
+  EXPECT_GT(capture.count(), 0);
+}
+
+TEST_F(EngineAuditTest, ExplicitEngineAuditsEveryNodeServer) {
+  const model::SystemConfig cfg = SmallConfig();
+  db::ExplicitSimulator engine(cfg, workload::WorkloadSpec::Base(cfg),
+                               /*seed=*/7, {});
+  ASSERT_TRUE(engine.Run().ok());
+
+  ScopedFailureCapture capture;
+  db::AuditTestPeer::Check(engine);
+  EXPECT_EQ(capture.count(), 0);
+
+  // One disk loses a submitted job; only that node's own FCFS
+  // conservation audit can see it.
+  ++sim::AuditTestPeer::Accepted(
+      db::AuditTestPeer::Disks(engine).node(cfg.npros - 1))[1];
   db::AuditTestPeer::Check(engine);
   EXPECT_GT(capture.count(), 0);
 }

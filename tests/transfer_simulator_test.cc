@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -188,14 +187,16 @@ TEST(TransferSimulatorTest, InvariantMetricsHold) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden regression: every metric of the report except `events_executed`,
-// at full precision, captured from the engine while its lock-cost phases
-// still fanned out one `kLock` job per node. No bench baseline covers this
-// engine, so these rows are what proves the lock-epoch pool left its
-// results bit-identical. The engine's lock manager is always serialized
-// (one request in flight), so there is no pipelined row; the hot-spot rows
-// block often and so exercise the pump right at epoch boundaries. Warmup
-// 100 resets the statistics while lock epochs are in flight.
+// Golden regression: every metric of the report at full precision. The
+// model values were captured from the engine while its lock-cost phases
+// still fanned out one `kLock` job per node, and `events_executed` once
+// they ran as lock epochs. No bench baseline covers this engine, so these
+// rows are what proves the lock-epoch pool, and the closed-system kernel
+// after it, left its results bit-identical. The engine's lock manager is
+// always serialized (one request in flight), so there is no pipelined row;
+// the hot-spot rows block often and so exercise the pump right at epoch
+// boundaries. Warmup 100 resets the statistics while lock epochs are in
+// flight.
 
 // One "name=value " token per pinned field; 17 significant digits
 // round-trip every double exactly.
@@ -203,10 +204,7 @@ std::string PinnedMetrics(const TransferSimulator::Report& report) {
   const core::SimulationMetrics& m = report.metrics;
   std::ostringstream out;
   out.precision(17);
-#define GRANULOCK_PIN_FIELD(name, kind)             \
-  if (std::strcmp(#name, "events_executed") != 0) { \
-    out << #name << '=' << m.name << ' ';           \
-  }
+#define GRANULOCK_PIN_FIELD(name, kind) out << #name << '=' << m.name << ' ';
   GRANULOCK_METRICS_FIELDS(GRANULOCK_PIN_FIELD)
 #undef GRANULOCK_PIN_FIELD
   out << "initial_total=" << report.initial_total << ' '
@@ -244,7 +242,8 @@ TEST(TransferGoldenTest, LockEpochsKeepEveryMetricBitIdentical) {
        "avg_pending=0.61127142857115691 "
        "cpu_utilization=0.083378571428539494 io_utilization=1 "
        "deadlock_aborts=0 txn_restarts=0 txn_sacrificed=0 "
-       "avg_admission_held=0 phase_pending_wait=0 phase_lock_wait=0 "
+       "avg_admission_held=0 events_executed=8408 "
+       "phase_pending_wait=0 phase_lock_wait=0 "
        "phase_io_service=0 phase_cpu_service=0 phase_sync_wait=0 "
        "initial_total=200000 final_total=200000 in_flight_imbalance=0 "
        "conserved=1 writes_applied=1660 "},
@@ -265,6 +264,7 @@ TEST(TransferGoldenTest, LockEpochsKeepEveryMetricBitIdentical) {
        "cpu_utilization=0.060722321428862365 "
        "io_utilization=0.72139776785708565 deadlock_aborts=0 "
        "txn_restarts=0 txn_sacrificed=0 avg_admission_held=0 "
+       "events_executed=48509 "
        "phase_pending_wait=0 phase_lock_wait=0 phase_io_service=0 "
        "phase_cpu_service=0 phase_sync_wait=0 initial_total=200000 "
        "final_total=200004 in_flight_imbalance=4 conserved=1 "
@@ -286,6 +286,7 @@ TEST(TransferGoldenTest, LockEpochsKeepEveryMetricBitIdentical) {
        "cpu_utilization=0.068935714285679295 "
        "io_utilization=0.99411428571428717 deadlock_aborts=0 "
        "txn_restarts=0 txn_sacrificed=0 avg_admission_held=0 "
+       "events_executed=8328 "
        "phase_pending_wait=0 phase_lock_wait=0 phase_io_service=0 "
        "phase_cpu_service=0 phase_sync_wait=0 initial_total=200000 "
        "final_total=199997 in_flight_imbalance=-3 conserved=1 "
@@ -307,6 +308,7 @@ TEST(TransferGoldenTest, LockEpochsKeepEveryMetricBitIdentical) {
        "cpu_utilization=0.041958035714629742 "
        "io_utilization=0.60623828124991386 deadlock_aborts=0 "
        "txn_restarts=0 txn_sacrificed=0 avg_admission_held=0 "
+       "events_executed=40281 "
        "phase_pending_wait=0 phase_lock_wait=0 phase_io_service=0 "
        "phase_cpu_service=0 phase_sync_wait=0 initial_total=200000 "
        "final_total=200000 in_flight_imbalance=0 conserved=1 "
@@ -324,6 +326,7 @@ TEST(TransferGoldenTest, LockEpochsKeepEveryMetricBitIdentical) {
        "avg_pending=0 cpu_utilization=0.088205357142822877 "
        "io_utilization=0.70561607142856908 deadlock_aborts=0 "
        "txn_restarts=0 txn_sacrificed=0 avg_admission_held=0 "
+       "events_executed=52911 "
        "phase_pending_wait=0 phase_lock_wait=0 phase_io_service=0 "
        "phase_cpu_service=0 phase_sync_wait=0 initial_total=200000 "
        "final_total=200052 in_flight_imbalance=9 conserved=0 "
