@@ -130,8 +130,11 @@ struct MeasurementWindow {
 /// The closed system every engine simulates (§2, Figure 1): `ntrans`
 /// terminals, one CPU and one disk pool of `npros` nodes, fork-join
 /// sub-transactions, and a measurement window. An engine holds one by
-/// value and keeps only what makes it different: its conflict decision,
-/// its lock-cost phase and its extra audits.
+/// value (a conservative engine also holds a `ConservativeLocking`
+/// lifecycle beside it) and keeps only what makes it different: its `Txn`
+/// extras, its conflict decision and profiler attribution, the amounts it
+/// charges for locks, its grant body, its completion accounting and
+/// replacement arrival, and its extra audits.
 ///
 /// The kernel owns the simulator and the server pools, the run-once guard
 /// and wall timer, the measurement window and the `SimulationMetrics`
@@ -249,6 +252,22 @@ class ClosedSystemKernel {
     }
   }
 
+  /// The lock-cost phase of conservative locking: `io_share` on every
+  /// disk, then `cpu_share` on every CPU, each served as one shared lock
+  /// epoch at preemptive priority (a zero share is skipped). Then the
+  /// engine's `kDone(txn)` runs.
+  template <auto kDone, typename Owner, typename Txn>
+  void ChargeLockCost(Owner* owner, Txn* txn, double io_share,
+                      double cpu_share) {
+    if (io_share <= 0.0) {
+      ChargeLockCpu<kDone>(owner, txn, cpu_share);
+      return;
+    }
+    io_->SubmitShared(io_share, [this, owner, txn, cpu_share] {
+      ChargeLockCpu<kDone>(owner, txn, cpu_share);
+    });
+  }
+
   /// Completion accounting for a single-stage transaction: sync wait is
   /// the mean gap between its sub-transactions' cpu-done and now.
   void RecordCompletion(const TxnCore& txn);
@@ -273,6 +292,15 @@ class ClosedSystemKernel {
   bool OnCpuDone(TxnCore* txn, int32_t node, double io_done);
   /// Pushes one contention sample; returns whether to schedule the next.
   bool PushContentionSample(double occupancy, Edges edges);
+
+  template <auto kDone, typename Owner, typename Txn>
+  void ChargeLockCpu(Owner* owner, Txn* txn, double cpu_share) {
+    if (cpu_share <= 0.0) {
+      (owner->*kDone)(txn);
+      return;
+    }
+    cpu_->SubmitShared(cpu_share, [owner, txn] { (owner->*kDone)(txn); });
+  }
 
   template <auto kSample, typename Owner>
   void ContentionTick(Owner* owner) {

@@ -6,25 +6,12 @@
 
 #include "sim/invariants.h"
 #include "sim/stats.h"
-#include "util/arena.h"
 #include "util/logging.h"
 #include "util/random.h"
 
 namespace granulock::core {
 
 namespace {
-
-/// Per-worker scratch arena handed to each cell's engine and reset
-/// wholesale between cells. After the first cell on a thread reaches its
-/// high-water mark, every later cell's transaction scratch runs entirely
-/// inside one reused block. Thread-local, so parallel replications never
-/// share an arena; results are bit-identical either way.
-util::Arena* CellArena(util::Arena* requested) {
-  if (requested != nullptr) return requested;
-  static thread_local util::Arena arena;
-  arena.Reset();
-  return &arena;
-}
 
 /// Derives the per-replication seeds exactly as the historical serial loop
 /// did: stream `r` forked from one seeder over `base_seed`. Computing them
@@ -218,7 +205,6 @@ Result<ReplicatedMetrics> RunReplicated(const model::SystemConfig& cfg,
         RunCell(policy, key, seeds[r], [&](const fault::CellWatchdog* wd) {
           GranularitySimulator::Options cell_options = options;
           cell_options.watchdog = wd;
-          cell_options.arena = CellArena(options.arena);
           return GranularitySimulator::RunOnce(cfg, spec, seeds[r],
                                                cell_options);
         });
@@ -296,7 +282,6 @@ Result<std::vector<SweepPoint>> SweepLockCounts(
         RunCell(policy, key, seeds[r], [&](const fault::CellWatchdog* wd) {
           GranularitySimulator::Options cell_options = options;
           cell_options.watchdog = wd;
-          cell_options.arena = CellArena(options.arena);
           return GranularitySimulator::RunOnce(point_cfgs[p], spec, seeds[r],
                                                cell_options);
         });

@@ -1,8 +1,8 @@
 #include "core/granularity_simulator.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
+#include <vector>
 
 #include "sim/invariants.h"
 #include "util/logging.h"
@@ -11,21 +11,8 @@ namespace granulock::core {
 
 using sim::TraceEventType;
 
-/// One live transaction; `blocked` lists the transactions it is currently
-/// blocking. Its scratch vector draws from the run's arena: it grows to
-/// steady-state capacity once and is reclaimed wholesale when the
-/// replication's arena resets, so pooled reuse never touches the heap.
-struct GranularitySimulator::Txn : TxnCore {
-  explicit Txn(util::Arena* arena)
-      : blocked(util::ArenaAllocator<Txn*>(arena)) {}
-
-  std::vector<Txn*, util::ArenaAllocator<Txn*>> blocked;
-
-  void Reset() {
-    TxnCore::Reset();
-    blocked.clear();
-  }
-};
+/// One live transaction: the lifecycle's fields are all it needs.
+struct GranularitySimulator::Txn : ConservativeTxn<Txn> {};
 
 GranularitySimulator::GranularitySimulator(model::SystemConfig cfg,
                                            workload::WorkloadSpec spec,
@@ -34,6 +21,7 @@ GranularitySimulator::GranularitySimulator(model::SystemConfig cfg,
       spec_(std::move(spec)),
       options_(options),
       kernel_(cfg_, options_.obs, options_.trace, options_.watchdog),
+      locking_(&kernel_),
       rng_(seed),
       contention_rng_(seed ^ 0x5deece66d1ce4e5dull),
       conflict_(std::max<int64_t>(1, cfg_.ltot)) {}
@@ -60,12 +48,6 @@ Result<SimulationMetrics> GranularitySimulator::RunOnce(
 
 Result<SimulationMetrics> GranularitySimulator::Run() {
   GRANULOCK_RETURN_NOT_OK(kernel_.Begin(&spec_));
-  if (options_.arena != nullptr) {
-    arena_ = options_.arena;
-  } else {
-    owned_arena_ = std::make_unique<util::Arena>();
-    arena_ = owned_arena_.get();
-  }
   if (options_.max_active < 0) {
     return Status::InvalidArgument("max_active must be >= 0");
   }
@@ -83,7 +65,7 @@ Result<SimulationMetrics> GranularitySimulator::Run() {
   }
 
   const size_t ntrans = static_cast<size_t>(cfg_.ntrans);
-  active_.reserve(ntrans);
+  locking_.Reserve(ntrans);
   txns_.Reserve(ntrans + 1);
   kernel_.Open<&GranularitySimulator::ContentionSample>(this,
                                                         /*imputed=*/true);
@@ -92,11 +74,7 @@ Result<SimulationMetrics> GranularitySimulator::Run() {
 
 double GranularitySimulator::ContentionSample(
     ClosedSystemKernel::Edges* edges) const {
-  for (const Txn* holder : active_) {
-    for (const Txn* waiter : holder->blocked) {
-      edges->emplace_back(waiter->id, holder->id);
-    }
-  }
+  locking_.AppendWaitsFor(edges);
   // The probabilistic engine has no lock table; occupancy is estimated
   // from the locks the active transactions nominally hold.
   return cfg_.ltot > 0 ? std::min(1.0, static_cast<double>(active_lu_total_) /
@@ -105,26 +83,10 @@ double GranularitySimulator::ContentionSample(
 }
 
 void GranularitySimulator::Arrive() {
-  Txn* txn = txns_.Acquire(arena_);
+  Txn* txn = txns_.Acquire();
   kernel_.InitTxn(txn, rng_);
-  EnqueuePending(txn, /*at_tail=*/true);
+  locking_.Enqueue(txn);
   PumpLockManager();
-}
-
-void GranularitySimulator::EnqueuePending(Txn* txn, bool at_tail) {
-  txn->pending_since = kernel_.Now();
-  if (at_tail) {
-    pending_.push_back(txn);
-  } else {
-    pending_.push_front(txn);
-  }
-  UpdateQueueStats();
-}
-
-void GranularitySimulator::UpdateQueueStats() {
-  kernel_.SetQueueLengths(static_cast<double>(active_.size()),
-                          static_cast<double>(blocked_count_),
-                          static_cast<double>(pending_.size()));
 }
 
 int64_t GranularitySimulator::EffectiveCap() const {
@@ -158,95 +120,39 @@ void GranularitySimulator::AdaptAdmissionCap() {
 }
 
 void GranularitySimulator::PumpLockManager() {
-  const int64_t cap = EffectiveCap();
-  while (!pending_.empty() &&
-         (!options_.serialize_lock_manager ||
-          outstanding_lock_requests_ == 0) &&
-         (cap == 0 ||
-          static_cast<int64_t>(active_.size()) + outstanding_lock_requests_ <
-              cap)) {
-    Txn* txn = pending_.front();
-    pending_.pop_front();
-    UpdateQueueStats();
-    BeginLockRequest(txn);
-  }
+  locking_.Pump<&GranularitySimulator::BeginLockRequest>(
+      this, options_.serialize_lock_manager, EffectiveCap());
   if (sim::invariants::DeepAuditEnabled()) CheckConsistency();
 }
 
 void GranularitySimulator::CheckConsistency() const {
-  GRANULOCK_AUDIT_CHECK_GE(outstanding_lock_requests_, 0);
-  GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
-  // Closed system: every live transaction is pending, paying lock cost,
-  // blocked behind an active transaction, or active — nowhere else.
-  GRANULOCK_AUDIT_CHECK_EQ(
-      txns_.live(),
-      pending_.size() + static_cast<size_t>(outstanding_lock_requests_) +
-          static_cast<size_t>(blocked_count_) + active_.size())
-      << "live=" << txns_.live() << " pending=" << pending_.size()
-      << " in_lock=" << outstanding_lock_requests_
-      << " blocked=" << blocked_count_ << " active=" << active_.size();
-  // The blocked count is exactly the sum of the blockers' lists, and
-  // only active (lock-holding) transactions may block others.
-  size_t blocked_from_lists = 0;
+  locking_.CheckConsistency(txns_.live());
   int64_t lu_total = 0;
-  for (const Txn* txn : active_) {
-    blocked_from_lists += txn->blocked.size();
+  for (const Txn* txn : locking_.active()) {
     lu_total += txn->params.lu;
     GRANULOCK_AUDIT_CHECK_GT(txn->subtxns_remaining, 0)
         << "active txn " << txn->id << " has no sub-transactions left";
     GRANULOCK_AUDIT_CHECK_LE(txn->subtxns_remaining, txn->params.pu)
         << "active txn " << txn->id;
-    // Conservative locking: only lock holders block others, so the
-    // waits-for relation has depth one and is trivially acyclic.
-    for (const Txn* waiter : txn->blocked) {
-      GRANULOCK_AUDIT_CHECK(waiter->blocked.empty())
-          << "blocked txn " << waiter->id
-          << " blocks others: waits-for chain under conservative locking";
-    }
   }
-  GRANULOCK_AUDIT_CHECK_EQ(static_cast<size_t>(blocked_count_),
-                           blocked_from_lists);
   // The incrementally maintained conflict-scan total never drifts from
   // the ground truth it summarizes.
   GRANULOCK_AUDIT_CHECK_EQ(active_lu_total_, lu_total)
-      << "active_lu_total_ drifted from the sum over active_";
+      << "active_lu_total_ drifted from the sum over the lock holders";
   kernel_.CheckConsistency();
 }
 
 void GranularitySimulator::BeginLockRequest(Txn* txn) {
-  ++outstanding_lock_requests_;
-  kernel_.ClosePendingWait(txn);
-  kernel_.CountLockRequest(txn->id, txn->params.lu);
-  StartLockIoPhase(txn);
-}
-
-void GranularitySimulator::StartLockIoPhase(Txn* txn) {
-  // Lock-table I/O: the work is shared equally by all nodes' disks and
-  // served at preemptive priority, as one lock epoch of the disk pool.
-  const double per_node =
-      txn->params.lock_io_demand / static_cast<double>(cfg_.npros);
-  if (per_node <= 0.0) {
-    StartLockCpuPhase(txn);
-    return;
-  }
-  kernel_.io().SubmitShared(per_node, [this, txn] { StartLockCpuPhase(txn); });
-}
-
-void GranularitySimulator::StartLockCpuPhase(Txn* txn) {
-  const double per_node =
-      txn->params.lock_cpu_demand / static_cast<double>(cfg_.npros);
-  if (per_node <= 0.0) {
-    FinishLockRequest(txn);
-    return;
-  }
-  kernel_.cpu().SubmitShared(per_node, [this, txn] { FinishLockRequest(txn); });
+  locking_.BeginRequest(txn, txn->params.lu);
+  // Lock-table I/O then CPU, shared equally by all nodes.
+  const double npros = static_cast<double>(cfg_.npros);
+  kernel_.ChargeLockCost<&GranularitySimulator::FinishLockRequest>(
+      this, txn, txn->params.lock_io_demand / npros,
+      txn->params.lock_cpu_demand / npros);
 }
 
 void GranularitySimulator::FinishLockRequest(Txn* txn) {
-  --outstanding_lock_requests_;
-  GRANULOCK_DCHECK_GE(outstanding_lock_requests_, 0)
-      << "lock request for txn " << txn->id
-      << " finished more often than it began";
+  locking_.EndRequest(txn);
   // Conflict draw over the active transactions' lock counts, equivalent to
   // `conflict_.DrawBlocker` on a vector of their `lu` values but without
   // materializing that vector: the running `active_lu_total_` decides the
@@ -255,26 +161,24 @@ void GranularitySimulator::FinishLockRequest(Txn* txn) {
   // partial sum the scan would form is an exactly-represented integer; a
   // larger total falls back to the scan so the outcome is still
   // bit-identical to the reference loop.
-  int blocker = -1;
-  if (!active_.empty()) {
+  const std::vector<Txn*>& active = locking_.active();
+  Txn* blocker = nullptr;
+  if (!active.empty()) {
     const double scaled = conflict_.DrawScaledVariate(rng_);
     if (active_lu_total_ >= (int64_t{1} << 53) ||
         scaled <= static_cast<double>(active_lu_total_)) {
       double cum = 0.0;
-      for (size_t j = 0; j < active_.size(); ++j) {
-        cum += static_cast<double>(active_[j]->params.lu);
+      for (Txn* holder : active) {
+        cum += static_cast<double>(holder->params.lu);
         if (scaled <= cum) {
-          blocker = static_cast<int>(j);
+          blocker = holder;
           break;
         }
       }
     }
   }
-  if (blocker >= 0) {
-    Txn* blocking = active_[static_cast<size_t>(blocker)];
-    kernel_.CountDenial(txn->id, static_cast<int64_t>(blocking->id));
-    blocking->blocked.push_back(txn);
-    ++blocked_count_;
+  if (blocker != nullptr) {
+    locking_.Block(txn, blocker);
     if (obs::ContentionProfiler* prof = options_.obs.contention) {
       // Granule attribution is imputed (the Ries–Stonebraker model names
       // no granule): drawn uniformly from a profiler-private stream.
@@ -284,16 +188,14 @@ void GranularitySimulator::FinishLockRequest(Txn* txn) {
       prof->OnBlock(txn->id, granule, lockmgr::LockMode::kX,
                     lockmgr::LockMode::kX, /*chain_depth=*/1, kernel_.Now());
     }
-    UpdateQueueStats();
   } else {
-    kernel_.Trace(txn->id, TraceEventType::kLockGranted, txn->params.lu);
     Grant(txn);
   }
   PumpLockManager();
 }
 
 void GranularitySimulator::Grant(Txn* txn) {
-  active_.push_back(txn);
+  locking_.Grant(txn, txn->params.lu);
   active_lu_total_ += txn->params.lu;
   kernel_.BeginStage(txn);
   if (options_.obs.contention != nullptr) {
@@ -301,29 +203,17 @@ void GranularitySimulator::Grant(Txn* txn) {
     // granules, so per-granule grant counts stay 0 here.
     options_.obs.contention->OnGrantTotal(txn->params.lu);
   }
-  UpdateQueueStats();
   const double pu = static_cast<double>(txn->params.pu);
   kernel_.ForkJoin<&GranularitySimulator::Complete>(
       this, txn, txn->params.io_demand / pu, txn->params.cpu_demand / pu);
 }
 
 void GranularitySimulator::Complete(Txn* txn) {
-  auto it = std::find(active_.begin(), active_.end(), txn);
-  GRANULOCK_CHECK(it != active_.end());
-  active_.erase(it);
   active_lu_total_ -= txn->params.lu;
   kernel_.RecordCompletion(*txn);
   kernel_.Trace(txn->id, TraceEventType::kCompleted,
                 static_cast<int64_t>(txn->blocked.size()));
-
-  // Release the transactions this one was blocking. Their blocked stint
-  // counts as lock wait (they are still paying for the denied request).
-  blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
-  for (Txn* released : txn->blocked) {
-    kernel_.Unblock(released);
-    EnqueuePending(released, options_.requeue_blocked_at_tail);
-  }
-  txn->blocked.clear();
+  locking_.Retire(txn, options_.requeue_blocked_at_tail);
 
   // Closed system: a fresh transaction replaces the completed one, after
   // the terminal's think time (0 in the paper's model).
@@ -331,13 +221,12 @@ void GranularitySimulator::Complete(Txn* txn) {
     kernel_.sim().ScheduleAfter(rng_.Exponential(cfg_.think_time),
                                 [this] { Arrive(); });
   } else {
-    Txn* fresh = txns_.Acquire(arena_);
+    Txn* fresh = txns_.Acquire();
     kernel_.InitTxn(fresh, rng_);
-    EnqueuePending(fresh, /*at_tail=*/true);
+    locking_.Enqueue(fresh);
   }
 
   txns_.Release(txn);
-  UpdateQueueStats();
   PumpLockManager();
 }
 

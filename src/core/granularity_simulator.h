@@ -2,18 +2,15 @@
 #define GRANULOCK_CORE_GRANULARITY_SIMULATOR_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <vector>
 
 #include "core/closed_system_kernel.h"
+#include "core/conservative_locking.h"
 #include "core/fault.h"
 #include "core/metrics.h"
 #include "model/config.h"
 #include "model/conflict.h"
 #include "obs/hooks.h"
 #include "sim/trace.h"
-#include "util/arena.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "workload/workload.h"
@@ -84,13 +81,6 @@ class GranularitySimulator {
     /// simulated results — and the poll throws to cancel the run at a
     /// deterministic simulated-time boundary. Null disables polling.
     const fault::CellWatchdog* watchdog = nullptr;
-    /// Optional arena backing per-transaction scratch vectors (not owned;
-    /// must outlive the engine and must not be `Reset` while it lives).
-    /// Replication drivers pass a per-worker arena and reset it wholesale
-    /// between cells; null makes the engine use a private arena. Either
-    /// way results are bit-identical — the arena only changes where
-    /// scratch memory lives.
-    util::Arena* arena = nullptr;
   };
 
   /// Builds a simulator for (`cfg`, `spec`); `seed` fully determines the
@@ -121,25 +111,20 @@ class GranularitySimulator {
 
   struct Txn;
 
-  /// Closed-system conservation audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): every live transaction is in
-  /// exactly one of pending / lock-processing / blocked / active, the
-  /// blocked count matches the blockers' lists, and each active
-  /// transaction has sub-transactions outstanding.
+  /// Deep audit (runs at quiescent points when
+  /// `sim::invariants::DeepAuditEnabled()`): the lifecycle's audit, each
+  /// active transaction has sub-transactions outstanding, and the
+  /// conflict-scan total matches the active transactions' lock counts.
   void CheckConsistency() const;
 
   // --- lifecycle stages (see class comment) ---
   void Arrive();
   void PumpLockManager();
   void BeginLockRequest(Txn* txn);
-  void StartLockIoPhase(Txn* txn);
-  void StartLockCpuPhase(Txn* txn);
   void FinishLockRequest(Txn* txn);
   void Grant(Txn* txn);
   void Complete(Txn* txn);
 
-  void EnqueuePending(Txn* txn, bool at_tail);
-  void UpdateQueueStats();
   /// Contention-profiler sample: waits-for edges plus the occupancy
   /// estimated from the locks the active transactions nominally hold.
   double ContentionSample(ClosedSystemKernel::Edges* edges) const;
@@ -152,10 +137,8 @@ class GranularitySimulator {
   workload::WorkloadSpec spec_;
   Options options_;
   ClosedSystemKernel kernel_;
-  /// `options_.arena` or the private fallback; backs Txn scratch vectors.
-  util::Arena* arena_ = nullptr;
-  std::unique_ptr<util::Arena> owned_arena_;
   TxnPool<Txn> txns_;
+  ConservativeLocking<Txn> locking_;
   Rng rng_;
   /// Profiler-private stream for imputed granule attribution (the
   /// probabilistic conflict model has no real lock table). Never draws
@@ -163,17 +146,13 @@ class GranularitySimulator {
   Rng contention_rng_;
   model::ConflictModel conflict_;
 
-  std::deque<Txn*> pending_;
-  std::vector<Txn*> active_;  // holding locks, running sub-transactions
-  /// Exact sum of `params.lu` over `active_` (maintained at grant /
+  /// Exact sum of `params.lu` over the lock holders (maintained at grant /
   /// complete, audited in CheckConsistency). Lets the conflict draw skip
   /// the partial-sum scan entirely whenever the scaled variate exceeds the
   /// total — the common case at low contention — without changing any
   /// outcome: integer partial sums below 2^53 are exact in a double, so
   /// "variate > total" is precisely the old loop's fall-through condition.
   int64_t active_lu_total_ = 0;
-  int64_t blocked_count_ = 0;
-  int outstanding_lock_requests_ = 0;
 
   // Adaptive admission controller state.
   int64_t adaptive_cap_ = 0;

@@ -17,11 +17,10 @@ using sim::ServiceClass;
 /// One live transaction with its concrete lock set. The set is drawn once
 /// (a transaction's data needs do not change across retries); the lock
 /// *cost* is paid on every attempt, as in the paper.
-struct ExplicitSimulator::Txn : core::TxnCore {
+struct ExplicitSimulator::Txn : core::ConservativeTxn<Txn> {
   // Fan-in for the current lock-processing phase (I/O, then CPU); the two
   // phases never overlap, so one field serves both without allocating.
   int64_t lock_fanin_remaining = 0;
-  std::vector<Txn*> blocked;
 
   /// Granules this transaction locks (kFlat, or kHierarchical fine path).
   std::vector<int64_t> granules;
@@ -33,9 +32,8 @@ struct ExplicitSimulator::Txn : core::TxnCore {
   double locks_set = 0.0;
 
   void Reset() {
-    TxnCore::Reset();
+    ConservativeTxn::Reset();
     lock_fanin_remaining = 0;
-    blocked.clear();
     granules.clear();
     coarse = false;
     mode = LockMode::kX;
@@ -50,6 +48,7 @@ ExplicitSimulator::ExplicitSimulator(model::SystemConfig cfg,
       spec_(std::move(spec)),
       options_(options),
       kernel_(cfg_, options_.obs, options_.trace, options_.watchdog),
+      locking_(&kernel_),
       rng_(seed) {}
 
 ExplicitSimulator::ExplicitSimulator(model::SystemConfig cfg,
@@ -110,11 +109,7 @@ Result<core::SimulationMetrics> ExplicitSimulator::Run() {
 
 double ExplicitSimulator::ContentionSample(
     core::ClosedSystemKernel::Edges* edges) const {
-  for (const auto& [id, holder] : active_) {
-    for (const Txn* waiter : holder->blocked) {
-      edges->emplace_back(waiter->id, id);
-    }
-  }
+  locking_.AppendWaitsFor(edges);
   const int64_t locked = flat_table_ != nullptr
                              ? flat_table_->LockedGranules()
                              : hier_table_->LockedGranules();
@@ -124,14 +119,8 @@ double ExplicitSimulator::ContentionSample(
 }
 
 void ExplicitSimulator::Arrive() {
-  EnqueuePending(CreateTransaction());
+  locking_.Enqueue(CreateTransaction());
   PumpLockManager();
-}
-
-void ExplicitSimulator::EnqueuePending(Txn* txn) {
-  txn->pending_since = kernel_.Now();
-  pending_.push_back(txn);
-  UpdateQueueStats();
 }
 
 ExplicitSimulator::Txn* ExplicitSimulator::CreateTransaction() {
@@ -166,57 +155,28 @@ ExplicitSimulator::Txn* ExplicitSimulator::CreateTransaction() {
   return txn;
 }
 
-void ExplicitSimulator::UpdateQueueStats() {
-  kernel_.SetQueueLengths(static_cast<double>(active_.size()),
-                          static_cast<double>(blocked_count_),
-                          static_cast<double>(pending_.size()));
-}
-
 void ExplicitSimulator::PumpLockManager() {
-  while (!pending_.empty() &&
-         (!options_.serialize_lock_manager ||
-          outstanding_lock_requests_ == 0)) {
-    Txn* txn = pending_.front();
-    pending_.pop_front();
-    UpdateQueueStats();
-    BeginLockRequest(txn);
-  }
+  locking_.Pump<&ExplicitSimulator::BeginLockRequest>(
+      this, /*serialized=*/true, /*cap=*/0);
   if (sim::invariants::DeepAuditEnabled()) CheckConsistency();
 }
 
 void ExplicitSimulator::CheckConsistency() const {
-  GRANULOCK_AUDIT_CHECK_GE(outstanding_lock_requests_, 0);
-  GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
-  GRANULOCK_AUDIT_CHECK_EQ(
-      txns_.live(),
-      pending_.size() + static_cast<size_t>(outstanding_lock_requests_) +
-          static_cast<size_t>(blocked_count_) + active_.size())
-      << "live=" << txns_.live() << " pending=" << pending_.size()
-      << " in_lock=" << outstanding_lock_requests_
-      << " blocked=" << blocked_count_ << " active=" << active_.size();
-  size_t blocked_from_lists = 0;
-  for (const auto& [id, txn] : active_) {
-    GRANULOCK_AUDIT_CHECK_EQ(id, txn->id);
-    blocked_from_lists += txn->blocked.size();
+  locking_.CheckConsistency(txns_.live());
+  const std::vector<Txn*>& active = locking_.active();
+  for (const Txn* txn : active) {
     GRANULOCK_AUDIT_CHECK_GT(txn->subtxns_remaining, 0)
         << "active txn " << txn->id << " has no sub-transactions left";
-    for (const Txn* waiter : txn->blocked) {
-      GRANULOCK_AUDIT_CHECK(waiter->blocked.empty())
-          << "blocked txn " << waiter->id
-          << " blocks others: waits-for chain under conservative locking";
-    }
   }
-  GRANULOCK_AUDIT_CHECK_EQ(static_cast<size_t>(blocked_count_),
-                           blocked_from_lists);
   // Only active transactions hold locks, and the table itself is sound.
   if (flat_table_ != nullptr) {
     GRANULOCK_AUDIT_CHECK_EQ(
         static_cast<size_t>(flat_table_->ActiveTransactions()),
-        active_.size());
+        active.size());
     flat_table_->CheckConsistency();
   }
   if (hier_table_ != nullptr) {
-    GRANULOCK_AUDIT_CHECK_EQ(hier_table_->Empty(), active_.empty());
+    GRANULOCK_AUDIT_CHECK_EQ(hier_table_->Empty(), active.empty());
     hier_table_->CheckConsistency();
   }
   // Lock phases fan out one kLock job per node (see StartLockIoPhase), so
@@ -228,9 +188,7 @@ void ExplicitSimulator::CheckConsistency() const {
 }
 
 void ExplicitSimulator::BeginLockRequest(Txn* txn) {
-  ++outstanding_lock_requests_;
-  kernel_.ClosePendingWait(txn);
-  kernel_.CountLockRequest(txn->id, static_cast<int64_t>(txn->locks_set));
+  locking_.BeginRequest(txn, static_cast<int64_t>(txn->locks_set));
   StartLockIoPhase(txn);
 }
 
@@ -339,34 +297,26 @@ void ExplicitSimulator::ReleaseLocks(Txn* txn) {
 }
 
 void ExplicitSimulator::FinishLockRequest(Txn* txn) {
-  --outstanding_lock_requests_;
+  locking_.EndRequest(txn);
   DenialInfo denial;
   auto* prof = options_.obs.contention;
   const std::optional<lockmgr::TxnId> blocker =
       TryAcquire(txn, prof != nullptr ? &denial : nullptr);
   if (blocker.has_value()) {
-    kernel_.CountDenial(txn->id, static_cast<int64_t>(*blocker));
-    auto it = active_.find(*blocker);
-    GRANULOCK_CHECK(it != active_.end())
-        << "blocker " << *blocker << " is not active";
-    it->second->blocked.push_back(txn);
-    ++blocked_count_;
+    locking_.Block(txn, locking_.FindActive(*blocker));
     if (prof != nullptr) {
       // Conservative locking cannot chain waiters, so the depth is 1.
       prof->OnBlock(txn->id, denial.key, denial.requested, denial.held,
                     /*chain_depth=*/1, kernel_.Now());
     }
-    UpdateQueueStats();
   } else {
-    kernel_.Trace(txn->id, sim::TraceEventType::kLockGranted,
-                  static_cast<int64_t>(txn->locks_set));
     Grant(txn);
   }
   PumpLockManager();
 }
 
 void ExplicitSimulator::Grant(Txn* txn) {
-  active_.emplace(txn->id, txn);
+  locking_.Grant(txn, static_cast<int64_t>(txn->locks_set));
   kernel_.BeginStage(txn);
   if (auto* prof = options_.obs.contention) {
     if (options_.strategy == LockingStrategy::kHierarchical) {
@@ -386,7 +336,6 @@ void ExplicitSimulator::Grant(Txn* txn) {
       for (int64_t g : txn->granules) prof->OnGrant(g);
     }
   }
-  UpdateQueueStats();
   const double pu = static_cast<double>(txn->params.pu);
   kernel_.ForkJoin<&ExplicitSimulator::Complete>(
       this, txn, txn->params.io_demand / pu, txn->params.cpu_demand / pu);
@@ -394,30 +343,19 @@ void ExplicitSimulator::Grant(Txn* txn) {
 
 void ExplicitSimulator::Complete(Txn* txn) {
   ReleaseLocks(txn);
-  auto it = active_.find(txn->id);
-  GRANULOCK_CHECK(it != active_.end());
-  active_.erase(it);
   kernel_.RecordCompletion(*txn);
   kernel_.Trace(txn->id, sim::TraceEventType::kCompleted,
                 static_cast<int64_t>(txn->blocked.size()));
-
-  // The blocked stint counts as lock wait, as in the granularity engine.
-  blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
-  for (Txn* released : txn->blocked) {
-    kernel_.Unblock(released);
-    EnqueuePending(released);
-  }
-  txn->blocked.clear();
+  locking_.Retire(txn, /*requeue_at_tail=*/true);
 
   if (cfg_.think_time > 0.0) {
     kernel_.sim().ScheduleAfter(rng_.Exponential(cfg_.think_time),
                                 [this] { Arrive(); });
   } else {
-    EnqueuePending(CreateTransaction());
+    locking_.Enqueue(CreateTransaction());
   }
 
   txns_.Release(txn);
-  UpdateQueueStats();
   PumpLockManager();
 }
 

@@ -2,12 +2,11 @@
 #define GRANULOCK_DB_EXPLICIT_SIMULATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "core/closed_system_kernel.h"
+#include "core/conservative_locking.h"
 #include "core/fault.h"
 #include "core/metrics.h"
 #include "db/granule_selector.h"
@@ -65,8 +64,6 @@ class ExplicitSimulator {
     /// Probability that a transaction is read-only and takes S locks
     /// (default 0: all transactions update, matching the paper).
     double read_fraction = 0.0;
-    /// Process one lock request at a time (see DESIGN.md §4.2).
-    bool serialize_lock_manager = true;
     /// Optional lifecycle tracer (not owned; must outlive the run).
     sim::TraceRecorder* trace = nullptr;
     /// Optional observability sinks (not owned; must outlive the run).
@@ -103,11 +100,10 @@ class ExplicitSimulator {
   struct Txn;
 
   /// Deep audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): closed-system conservation,
-  /// blocked-list accounting, depth-one waits-for (conservative locking
-  /// cannot chain waiters), every node server's own `CheckConsistency`,
-  /// and the active lock table's own `CheckConsistency` — every active
-  /// transaction holds locks, nobody else does.
+  /// `sim::invariants::DeepAuditEnabled()`): the lifecycle's audit, every
+  /// node server's own `CheckConsistency`, and the active lock table's
+  /// own `CheckConsistency` — every active transaction holds locks,
+  /// nobody else does.
   void CheckConsistency() const;
 
   void Arrive();
@@ -121,8 +117,6 @@ class ExplicitSimulator {
 
   /// Draws a fresh transaction: parameters, lock mode and granule set.
   Txn* CreateTransaction();
-  void EnqueuePending(Txn* txn);
-  void UpdateQueueStats();
   /// Contention-profiler sample: waits-for edges and lock-table occupancy.
   double ContentionSample(core::ClosedSystemKernel::Edges* edges) const;
 
@@ -146,15 +140,11 @@ class ExplicitSimulator {
   Options options_;
   core::ClosedSystemKernel kernel_;
   core::TxnPool<Txn> txns_;
+  core::ConservativeLocking<Txn> locking_;
   Rng rng_;
 
   std::unique_ptr<lockmgr::LockTable> flat_table_;
   std::unique_ptr<lockmgr::HierarchicalLockManager> hier_table_;
-
-  std::deque<Txn*> pending_;
-  std::unordered_map<lockmgr::TxnId, Txn*> active_;
-  int64_t blocked_count_ = 0;
-  int outstanding_lock_requests_ = 0;
 };
 
 }  // namespace granulock::db

@@ -183,8 +183,20 @@ void IncrementalSimulator::DestroyTransaction(Txn* txn) {
 }
 
 void IncrementalSimulator::UpdateQueueStats() {
+  // The pending queue is the admission queue (0 without a controller).
   kernel_.SetQueueLengths(static_cast<double>(running_count_),
-                          static_cast<double>(waiting_count_), 0.0);
+                          static_cast<double>(waiting_count_),
+                          static_cast<double>(admission_held_));
+}
+
+void IncrementalSimulator::UpdateAdmissionHeld() {
+  // Only the held and pending series move, so the active and blocked
+  // averages keep their update points (`avg_pending` is assembled from
+  // `avg_admission_held`).
+  const double now = kernel_.Now();
+  const double held = static_cast<double>(admission_held_);
+  kernel_.window().admission_held.Update(now, held);
+  kernel_.window().pending.Update(now, held);
 }
 
 void IncrementalSimulator::StartTransaction(Txn* txn) {
@@ -428,8 +440,7 @@ void IncrementalSimulator::AdmitOrHold(Txn* txn) {
   }
   admission_queue_.push_back(txn);
   ++admission_held_;
-  kernel_.window().admission_held.Update(
-      kernel_.Now(), static_cast<double>(admission_held_));
+  UpdateAdmissionHeld();
   ReleaseAdmitted();
 }
 
@@ -440,8 +451,7 @@ void IncrementalSimulator::ReleaseAdmitted() {
     Txn* txn = admission_queue_.front();
     admission_queue_.pop_front();
     --admission_held_;
-    kernel_.window().admission_held.Update(
-        kernel_.Now(), static_cast<double>(admission_held_));
+    UpdateAdmissionHeld();
     txn->pending_wait = kernel_.Now() - txn->arrival_time;
     StartTransaction(txn);
   }

@@ -157,6 +157,9 @@ class IncrementalSimulator {
   Txn* CreateTransaction();
   void DestroyTransaction(Txn* txn);
   void UpdateQueueStats();
+  /// The admission queue's length changed: updates the held and pending
+  /// series.
+  void UpdateAdmissionHeld();
   /// Contention-profiler sample: waits-for edges rebuilt from the wait
   /// queues, and lock-table occupancy.
   double ContentionSample(core::ClosedSystemKernel::Edges* edges) const;

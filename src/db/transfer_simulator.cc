@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "db/granule_selector.h"
 #include "sim/invariants.h"
@@ -16,31 +17,24 @@ using sim::ServiceClass;
 /// One in-flight transfer: debit `from`, credit `to` by `amount`. The
 /// balances read during the read phase are held in `read_from`/`read_to`
 /// until the write phase applies them — the window in which a concurrent
-/// unprotected transfer can be lost.
-struct TransferSimulator::Txn {
-  lockmgr::TxnId id = 0;
-  double arrival_time = 0.0;
+/// unprotected transfer can be lost. Of the kernel's fields it uses only
+/// `id` and `arrival_time`, which it sets itself.
+struct TransferSimulator::Txn : core::ConservativeTxn<Txn> {
   int64_t from = 0;
   int64_t to = 0;
   int64_t amount = 0;
   int64_t read_from = 0;
   int64_t read_to = 0;
   int64_t phase_remaining = 0;
-  std::vector<Txn*> blocked;
 
-  /// Returns the transaction to its freshly-constructed state while
-  /// keeping the vector's capacity — pooled reuse must behave exactly
-  /// like a new `Txn` minus the allocations.
   void Reset() {
-    id = 0;
-    arrival_time = 0.0;
+    ConservativeTxn::Reset();
     from = 0;
     to = 0;
     amount = 0;
     read_from = 0;
     read_to = 0;
     phase_remaining = 0;
-    blocked.clear();
   }
 };
 
@@ -50,6 +44,7 @@ TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed,
       options_(options),
       kernel_(cfg_, obs::Hooks{nullptr, nullptr, nullptr, options_.contention},
               /*trace=*/nullptr, /*watchdog=*/nullptr),
+      locking_(&kernel_),
       rng_(seed) {}
 
 TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed)
@@ -105,8 +100,7 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
 }
 
 void TransferSimulator::Arrive() {
-  pending_.push_back(CreateTransaction());
-  UpdateQueueStats();
+  locking_.Enqueue(CreateTransaction());
   PumpLockManager();
 }
 
@@ -126,91 +120,43 @@ TransferSimulator::Txn* TransferSimulator::CreateTransaction() {
   return txn;
 }
 
-void TransferSimulator::UpdateQueueStats() {
-  kernel_.SetQueueLengths(static_cast<double>(active_.size()),
-                          static_cast<double>(blocked_count_),
-                          static_cast<double>(pending_.size()));
-}
-
 void TransferSimulator::PumpLockManager() {
-  while (!pending_.empty() && outstanding_lock_requests_ == 0) {
-    Txn* txn = pending_.front();
-    pending_.pop_front();
-    UpdateQueueStats();
-    if (options_.concurrency_control == ConcurrencyControl::kNoLocking) {
-      // Straight to execution — this is how updates get lost.
-      active_.emplace(txn->id, txn);
-      UpdateQueueStats();
-      StartReads(txn);
-      continue;
-    }
-    BeginLockRequest(txn);
-  }
+  locking_.Pump<&TransferSimulator::Dispatch>(this, /*serialized=*/true,
+                                              /*cap=*/0);
   if (sim::invariants::DeepAuditEnabled()) CheckConsistency();
 }
 
 void TransferSimulator::CheckConsistency() const {
-  GRANULOCK_AUDIT_CHECK_GE(outstanding_lock_requests_, 0);
-  GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
-  GRANULOCK_AUDIT_CHECK_EQ(
-      txns_.live(),
-      pending_.size() + static_cast<size_t>(outstanding_lock_requests_) +
-          static_cast<size_t>(blocked_count_) + active_.size())
-      << "live=" << txns_.live() << " pending=" << pending_.size()
-      << " in_lock=" << outstanding_lock_requests_
-      << " blocked=" << blocked_count_ << " active=" << active_.size();
-  size_t blocked_from_lists = 0;
-  for (const auto& [id, txn] : active_) {
-    GRANULOCK_AUDIT_CHECK_EQ(id, txn->id);
-    blocked_from_lists += txn->blocked.size();
-    for (const Txn* waiter : txn->blocked) {
-      GRANULOCK_AUDIT_CHECK(waiter->blocked.empty())
-          << "blocked txn " << waiter->id
-          << " blocks others: waits-for chain under conservative locking";
-    }
-  }
-  GRANULOCK_AUDIT_CHECK_EQ(static_cast<size_t>(blocked_count_),
-                           blocked_from_lists);
+  locking_.CheckConsistency(txns_.live());
   if (options_.concurrency_control ==
       ConcurrencyControl::kConservativeLocking) {
     GRANULOCK_AUDIT_CHECK_EQ(
-        static_cast<size_t>(table_->ActiveTransactions()), active_.size());
+        static_cast<size_t>(table_->ActiveTransactions()),
+        locking_.active().size());
     table_->CheckConsistency();
   }
   kernel_.CheckConsistency();
 }
 
-void TransferSimulator::BeginLockRequest(Txn* txn) {
-  ++outstanding_lock_requests_;
+void TransferSimulator::Dispatch(Txn* txn) {
+  if (options_.concurrency_control == ConcurrencyControl::kNoLocking) {
+    // Straight to execution — this is how updates get lost.
+    locking_.Grant(txn, /*detail=*/0);
+    StartReads(txn);
+    return;
+  }
   // Lock cost per the paper's model: per-lock I/O then CPU, shared across
   // all nodes at preemptive priority.
-  const int64_t granule_a = GranuleOfAccount(txn->from);
-  const int64_t granule_b = GranuleOfAccount(txn->to);
-  const double locks = granule_a == granule_b ? 1.0 : 2.0;
-  kernel_.CountLockRequest(txn->id, static_cast<int64_t>(locks));
+  const double locks =
+      GranuleOfAccount(txn->from) == GranuleOfAccount(txn->to) ? 1.0 : 2.0;
+  locking_.BeginRequest(txn, static_cast<int64_t>(locks));
   const double npros = static_cast<double>(cfg_.npros);
-  const double io_share = locks * cfg_.liotime / npros;
-  const double cpu_share = locks * cfg_.lcputime / npros;
-  if (io_share <= 0.0) {
-    StartLockCpuPhase(txn, cpu_share);
-    return;
-  }
-  kernel_.io().SubmitShared(io_share, [this, txn, cpu_share] {
-    StartLockCpuPhase(txn, cpu_share);
-  });
-}
-
-void TransferSimulator::StartLockCpuPhase(Txn* txn, double cpu_share) {
-  if (cpu_share <= 0.0) {
-    FinishLockRequest(txn);
-    return;
-  }
-  kernel_.cpu().SubmitShared(cpu_share,
-                             [this, txn] { FinishLockRequest(txn); });
+  kernel_.ChargeLockCost<&TransferSimulator::FinishLockRequest>(
+      this, txn, locks * cfg_.liotime / npros, locks * cfg_.lcputime / npros);
 }
 
 void TransferSimulator::FinishLockRequest(Txn* txn) {
-  --outstanding_lock_requests_;
+  locking_.EndRequest(txn);
   const int64_t granule_a = GranuleOfAccount(txn->from);
   const int64_t granule_b = GranuleOfAccount(txn->to);
   std::vector<LockRequest> requests{{granule_a, LockMode::kX},
@@ -220,24 +166,18 @@ void TransferSimulator::FinishLockRequest(Txn* txn) {
   const auto blocker = table_->TryAcquireAll(
       txn->id, requests, prof != nullptr ? &conflict : nullptr);
   if (blocker.has_value()) {
-    kernel_.CountDenial(txn->id, static_cast<int64_t>(*blocker));
-    auto it = active_.find(*blocker);
-    GRANULOCK_CHECK(it != active_.end());
-    it->second->blocked.push_back(txn);
-    ++blocked_count_;
+    locking_.Block(txn, locking_.FindActive(*blocker));
     if (prof != nullptr) {
       // Conservative locking cannot chain waiters, so the depth is 1.
       prof->OnBlock(txn->id, conflict.granule, conflict.requested,
                     conflict.held, /*chain_depth=*/1, kernel_.Now());
     }
-    UpdateQueueStats();
   } else {
     if (prof != nullptr) {
       prof->OnGrant(granule_a);
       if (granule_b != granule_a) prof->OnGrant(granule_b);
     }
-    active_.emplace(txn->id, txn);
-    UpdateQueueStats();
+    locking_.Grant(txn, /*detail=*/0);
     StartReads(txn);
   }
   PumpLockManager();
@@ -245,11 +185,7 @@ void TransferSimulator::FinishLockRequest(Txn* txn) {
 
 double TransferSimulator::ContentionSample(
     core::ClosedSystemKernel::Edges* edges) const {
-  for (const auto& [id, holder] : active_) {
-    for (const Txn* waiter : holder->blocked) {
-      edges->emplace_back(waiter->id, id);
-    }
-  }
+  locking_.AppendWaitsFor(edges);
   return cfg_.ltot > 0
              ? std::min(1.0, static_cast<double>(table_->LockedGranules()) /
                                  static_cast<double>(cfg_.ltot))
@@ -304,25 +240,11 @@ void TransferSimulator::Complete(Txn* txn) {
       ConcurrencyControl::kConservativeLocking) {
     table_->ReleaseAll(txn->id);
   }
-  auto it = active_.find(txn->id);
-  GRANULOCK_CHECK(it != active_.end());
-  active_.erase(it);
-
   kernel_.CountCompletion(kernel_.Now() - txn->arrival_time);
-
-  blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
-  for (Txn* released : txn->blocked) {
-    if (auto* prof = options_.contention) {
-      prof->OnUnblock(released->id, kernel_.Now());
-    }
-    pending_.push_back(released);
-  }
-  txn->blocked.clear();
-
-  pending_.push_back(CreateTransaction());
+  locking_.Retire(txn, /*requeue_at_tail=*/true);
+  locking_.Enqueue(CreateTransaction());
 
   txns_.Release(txn);
-  UpdateQueueStats();
   PumpLockManager();
 }
 

@@ -2,12 +2,10 @@
 #define GRANULOCK_DB_TRANSFER_SIMULATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "core/closed_system_kernel.h"
+#include "core/conservative_locking.h"
 #include "core/metrics.h"
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
@@ -104,16 +102,16 @@ class TransferSimulator {
   struct Txn;
 
   /// Deep audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): closed-system conservation
-  /// over pending / lock-processing / blocked / active, blocked-list
-  /// accounting, and — under conservative locking — the lock table's own
-  /// invariants with exactly the active transactions holding locks.
+  /// `sim::invariants::DeepAuditEnabled()`): the lifecycle's audit and —
+  /// under conservative locking — the lock table's own invariants with
+  /// exactly the active transactions holding locks.
   void CheckConsistency() const;
 
   void Arrive();
   void PumpLockManager();
-  void BeginLockRequest(Txn* txn);
-  void StartLockCpuPhase(Txn* txn, double cpu_share);
+  /// Sends a pending transfer to lock processing, or straight to
+  /// execution under kNoLocking.
+  void Dispatch(Txn* txn);
   void FinishLockRequest(Txn* txn);
   void StartReads(Txn* txn);
   void OnReadsDone(Txn* txn);
@@ -121,7 +119,6 @@ class TransferSimulator {
   void Complete(Txn* txn);
 
   Txn* CreateTransaction();
-  void UpdateQueueStats();
   /// Contention-profiler sample: waits-for edges and lock-table occupancy.
   double ContentionSample(core::ClosedSystemKernel::Edges* edges) const;
   int64_t GranuleOfAccount(int64_t account) const;
@@ -130,16 +127,13 @@ class TransferSimulator {
   Options options_;
   core::ClosedSystemKernel kernel_;
   core::TxnPool<Txn> txns_;
+  core::ConservativeLocking<Txn> locking_;
   Rng rng_;
 
   std::unique_ptr<storage::RecordStore> store_;
   std::unique_ptr<ZipfGenerator> zipf_;
   std::unique_ptr<lockmgr::LockTable> table_;
 
-  std::deque<Txn*> pending_;
-  std::unordered_map<lockmgr::TxnId, Txn*> active_;
-  int64_t blocked_count_ = 0;
-  int outstanding_lock_requests_ = 0;
   /// Net intended delta of applied writes (see Report::in_flight_imbalance).
   int64_t net_applied_ = 0;
 };

@@ -398,8 +398,6 @@ ExplicitCase ExplicitCaseFor(const std::string& name) {
   } else if (name == "read_fraction") {
     c.cfg.ltot = 20;
     c.options.read_fraction = 0.3;
-  } else if (name == "pipelined") {
-    c.options.serialize_lock_manager = false;
   } else if (name == "warmup") {
     c.cfg.warmup = 100.0;
   } else if (name == "think_time") {
@@ -513,40 +511,6 @@ TEST(ExplicitGoldenTest, OptionCornersKeepEveryMetricBitIdentical) {
        "sum(disk3_util)=19.999937499999998 rows=20 waits=110 grants=320 "
        "wait_time=1299.1649999999904 blocked_frac=0.16250000000000006 "
        "occupancy=0.40625000000000011 spans=4602 "},
-      {"pipelined",
-       "totcpus=195.78750000001307 totios=799.99750000000006 "
-       "lockcpus=1.0025000000075126 lockios=20.049999999995286 "
-       "usefulcpus=48.696250000001392 usefulios=194.98687500000119 "
-       "totcom=322 throughput=0.40250000000000002 "
-       "response_time=24.237236024844574 totcpus_sum=783.15000000005227 "
-       "totios_sum=3199.9899999999998 lockcpus_sum=4.0100000000300504 "
-       "lockios_sum=80.199999999981145 measured_time=800 "
-       "response_time_stddev=7.631684683352165 "
-       "response_p50=22.912499999999881 response_p95=38.999749999998812 "
-       "response_p99=49.863624999999104 lock_requests=401 lock_denials=70 "
-       "denial_rate=0.1745635910224439 avg_active=8.9026781250000067 "
-       "avg_blocked=1.0092718749999976 avg_pending=0 "
-       "cpu_utilization=0.24473437500001632 "
-       "io_utilization=0.9999968749999999 deadlock_aborts=0 "
-       "txn_restarts=0 txn_sacrificed=0 avg_admission_held=0 "
-       "events_executed=5798 phase_pending_wait=0 "
-       "phase_lock_wait=2.4460791925465659 "
-       "phase_io_service=21.131156832297997 "
-       "phase_cpu_service=0.66000000000000414 phase_sync_wait=0 ",
-       "engine.lock_denials=70 engine.lock_grants=331 "
-       "engine.lock_requests=401 engine.subtxns_completed=1288 "
-       "engine.txn_completed=322 engine.txn_created=332 sum(active)=177 "
-       "sum(blocked)=23 sum(pending)=0 sum(throughput)=8.0499999999999989 "
-       "sum(cpu0_util)=4.8946875000003267 "
-       "sum(cpu1_util)=4.8946875000003267 "
-       "sum(cpu2_util)=4.8946875000003267 "
-       "sum(cpu3_util)=4.8946875000003267 "
-       "sum(disk0_util)=19.999937499999998 "
-       "sum(disk1_util)=19.999937499999998 "
-       "sum(disk2_util)=19.999937499999998 "
-       "sum(disk3_util)=19.999937499999998 rows=20 waits=70 grants=331 "
-       "wait_time=807.19749999999294 blocked_frac=0.125 "
-       "occupancy=0.17500000000000002 spans=4669 "},
       {"warmup",
        "totcpus=171.97500000001315 totios=700 "
        "lockcpus=0.85250000000758064 lockios=17.049999999995379 "
@@ -747,7 +711,7 @@ TEST(IncrementalGoldenTest, PolicyCornersKeepEveryMetricBitIdentical) {
        "engine.lock_grants=5588 engine.lock_requests=5877 "
        "engine.subtxns_completed=22352 engine.txn_completed=137 "
        "engine.txn_created=157 sum(active)=27 sum(blocked)=18 "
-       "sum(pending)=0 sum(throughput)=3.3999999999999999 "
+       "sum(pending)=267 sum(throughput)=3.3999999999999999 "
        "sum(cpu0_util)=2.8873569047994079 "
        "sum(cpu1_util)=2.8873569047994079 "
        "sum(cpu2_util)=2.8873569047994079 "

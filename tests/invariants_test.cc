@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/closed_system_kernel.h"
+#include "core/conservative_locking.h"
 #include "core/granularity_simulator.h"
 #include "db/explicit_simulator.h"
 #include "db/incremental_simulator.h"
@@ -24,6 +26,7 @@
 #include "lockmgr/lock_table.h"
 #include "lockmgr/wait_queue_table.h"
 #include "model/config.h"
+#include "obs/hooks.h"
 #include "sim/priority_server.h"
 #include "sim/server_pool.h"
 #include "sim/simulator.h"
@@ -70,8 +73,12 @@ struct AuditTestPeer {
 namespace granulock::core {
 
 struct AuditTestPeer {
+  template <typename Txn>
+  static auto& BlockedCount(ConservativeLocking<Txn>& l) {
+    return l.blocked_count_;
+  }
   static auto& BlockedCount(GranularitySimulator& s) {
-    return s.blocked_count_;
+    return BlockedCount(s.locking_);
   }
   static void Check(const GranularitySimulator& s) { s.CheckConsistency(); }
 };
@@ -81,14 +88,18 @@ struct AuditTestPeer {
 namespace granulock::db {
 
 struct AuditTestPeer {
-  static auto& BlockedCount(ExplicitSimulator& s) { return s.blocked_count_; }
+  static auto& BlockedCount(ExplicitSimulator& s) {
+    return core::AuditTestPeer::BlockedCount(s.locking_);
+  }
   static sim::ServerPool& Disks(ExplicitSimulator& s) {
     return s.kernel_.io();
   }
   static void Check(const ExplicitSimulator& s) { s.CheckConsistency(); }
   static auto& InBackoff(IncrementalSimulator& s) { return s.in_backoff_; }
   static void Check(const IncrementalSimulator& s) { s.CheckConsistency(); }
-  static auto& BlockedCount(TransferSimulator& s) { return s.blocked_count_; }
+  static auto& BlockedCount(TransferSimulator& s) {
+    return core::AuditTestPeer::BlockedCount(s.locking_);
+  }
   static void Check(const TransferSimulator& s) { s.CheckConsistency(); }
 };
 
@@ -504,36 +515,6 @@ class EngineAuditTest : public ::testing::Test {
   void TearDown() override { sim::invariants::SetDeepAudit(false); }
 };
 
-TEST_F(EngineAuditTest, GranularityEngineRunsCleanAndDetectsCorruption) {
-  const model::SystemConfig cfg = SmallConfig();
-  core::GranularitySimulator engine(cfg, workload::WorkloadSpec::Base(cfg),
-                                    /*seed=*/7, {});
-  ASSERT_TRUE(engine.Run().ok());  // deep audits ran at every quiescent point
-
-  ScopedFailureCapture capture;
-  core::AuditTestPeer::Check(engine);
-  EXPECT_EQ(capture.count(), 0);
-
-  core::AuditTestPeer::BlockedCount(engine) += 1;
-  core::AuditTestPeer::Check(engine);
-  EXPECT_GT(capture.count(), 0);
-}
-
-TEST_F(EngineAuditTest, ExplicitEngineRunsCleanAndDetectsCorruption) {
-  const model::SystemConfig cfg = SmallConfig();
-  db::ExplicitSimulator engine(cfg, workload::WorkloadSpec::Base(cfg),
-                               /*seed=*/7, {});
-  ASSERT_TRUE(engine.Run().ok());
-
-  ScopedFailureCapture capture;
-  db::AuditTestPeer::Check(engine);
-  EXPECT_EQ(capture.count(), 0);
-
-  db::AuditTestPeer::BlockedCount(engine) += 1;
-  db::AuditTestPeer::Check(engine);
-  EXPECT_GT(capture.count(), 0);
-}
-
 TEST_F(EngineAuditTest, ExplicitEngineAuditsEveryNodeServer) {
   const model::SystemConfig cfg = SmallConfig();
   db::ExplicitSimulator engine(cfg, workload::WorkloadSpec::Base(cfg),
@@ -584,24 +565,147 @@ TEST_F(EngineAuditTest, IncrementalEngineRunsCleanAndDetectsCorruption) {
   EXPECT_GT(capture.count(), 0);
 }
 
-TEST_F(EngineAuditTest, TransferEngineRunsCleanAndDetectsCorruption) {
+// The three conservative engines share one lifecycle audit. Each case runs
+// its engine clean under deep audits, then drifts the blocked count.
+class ConservativeEngineAuditTest
+    : public EngineAuditTest,
+      public ::testing::WithParamInterface<std::string> {
+ protected:
+  // Audits `engine` clean, then again after the blocked count drifts.
+  template <typename Peer, typename Engine>
+  static void ExpectBlockedDriftCaught(Engine& engine) {
+    ScopedFailureCapture capture;
+    Peer::Check(engine);
+    EXPECT_EQ(capture.count(), 0);
+
+    Peer::BlockedCount(engine) += 1;
+    Peer::Check(engine);
+    EXPECT_GT(capture.count(), 0);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Engines, ConservativeEngineAuditTest,
+                         ::testing::Values("granularity", "explicit",
+                                           "transfer"),
+                         [](const auto& info) { return info.param; });
+
+TEST_P(ConservativeEngineAuditTest, RunsCleanAndDetectsCorruption) {
   model::SystemConfig cfg = SmallConfig();
-  cfg.dbsize = 200;
-  cfg.ltot = 50;
-  cfg.maxtransize = 20;  // must stay <= dbsize; ignored by this engine
-  db::TransferSimulator engine(cfg, /*seed=*/7,
-                               db::TransferSimulator::Options{});
-  const auto report = engine.Run();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->conserved);
+  if (GetParam() == "granularity") {
+    core::GranularitySimulator engine(cfg, workload::WorkloadSpec::Base(cfg),
+                                      /*seed=*/7, {});
+    ASSERT_TRUE(engine.Run().ok());  // deep audits ran at every quiescent point
+    ExpectBlockedDriftCaught<core::AuditTestPeer>(engine);
+  } else if (GetParam() == "explicit") {
+    db::ExplicitSimulator engine(cfg, workload::WorkloadSpec::Base(cfg),
+                                 /*seed=*/7, {});
+    ASSERT_TRUE(engine.Run().ok());
+    ExpectBlockedDriftCaught<db::AuditTestPeer>(engine);
+  } else {
+    cfg.dbsize = 200;
+    cfg.ltot = 50;
+    cfg.maxtransize = 20;  // must stay <= dbsize; ignored by this engine
+    db::TransferSimulator engine(cfg, /*seed=*/7,
+                                 db::TransferSimulator::Options{});
+    const auto report = engine.Run();
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->conserved);
+    ExpectBlockedDriftCaught<db::AuditTestPeer>(engine);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The conservative-locking lifecycle, driven by hand.
+
+struct LifecycleTxn : core::ConservativeTxn<LifecycleTxn> {};
+
+// Stands in for an engine: dispatch starts the lock request, nothing else.
+struct LifecycleDriver {
+  explicit LifecycleDriver(const model::SystemConfig& cfg)
+      : kernel(cfg, obs::Hooks{}, /*trace=*/nullptr, /*watchdog=*/nullptr),
+        locking(&kernel) {
+    EXPECT_TRUE(kernel.Begin(/*spec=*/nullptr).ok());
+    kernel.Open<&LifecycleDriver::Sample>(this, /*imputed=*/true);
+  }
+
+  double Sample(core::ClosedSystemKernel::Edges* edges) const {
+    locking.AppendWaitsFor(edges);
+    return 0.0;
+  }
+  void Dispatch(LifecycleTxn* txn) {
+    locking.BeginRequest(txn, 1);
+    dispatched.push_back(txn);
+  }
+
+  // Dispatches the head of the pending queue and ends its lock request.
+  LifecycleTxn* RequestNext() {
+    locking.Pump<&LifecycleDriver::Dispatch>(this, /*serialized=*/true, 0);
+    LifecycleTxn* txn = dispatched.back();
+    locking.EndRequest(txn);
+    return txn;
+  }
+
+  core::ClosedSystemKernel kernel;
+  core::ConservativeLocking<LifecycleTxn> locking;
+  std::vector<LifecycleTxn*> dispatched;
+};
+
+TEST(ConservativeLockingAuditTest, FiresOnEachCorruption) {
+  model::SystemConfig cfg = model::SystemConfig::Table1Defaults();
+  LifecycleDriver d(cfg);
+  LifecycleTxn txns[3];
+  for (int i = 0; i < 3; ++i) {
+    txns[i].id = static_cast<uint64_t>(i + 1);
+    d.locking.Enqueue(&txns[i]);
+  }
+  // Serialized: each request is dispatched only once the last one ended.
+  LifecycleTxn* a = d.RequestNext();
+  d.locking.Grant(a, 1);
+  LifecycleTxn* b = d.RequestNext();
+  d.locking.Block(b, a);
+  LifecycleTxn* c = d.RequestNext();
+  d.locking.Block(c, a);
+  ASSERT_EQ(d.dispatched,
+            (std::vector<LifecycleTxn*>{&txns[0], &txns[1], &txns[2]}));
+  ASSERT_EQ(d.locking.active().size(), 1u);
+  ASSERT_EQ(a->blocked.size(), 2u);
+  core::ClosedSystemKernel::Edges edges;
+  d.locking.AppendWaitsFor(&edges);
+  EXPECT_EQ(edges.size(), 2u);
 
   ScopedFailureCapture capture;
-  db::AuditTestPeer::Check(engine);
-  EXPECT_EQ(capture.count(), 0);
+  d.locking.CheckConsistency(/*live=*/3);
+  EXPECT_EQ(capture.count(), 0) << capture.last_message();
 
-  db::AuditTestPeer::BlockedCount(engine) += 1;
-  db::AuditTestPeer::Check(engine);
+  // Blocked-count drift: conservation and the blocked lists disagree.
+  core::AuditTestPeer::BlockedCount(d.locking) += 1;
+  d.locking.CheckConsistency(3);
   EXPECT_GT(capture.count(), 0);
+  core::AuditTestPeer::BlockedCount(d.locking) -= 1;
+
+  // A conservation mismatch: a transaction is in none of the queues.
+  capture.Reset();
+  d.locking.CheckConsistency(/*live=*/4);
+  EXPECT_EQ(capture.count(), 1);
+  EXPECT_NE(capture.last_message().find("live=4"), std::string::npos)
+      << capture.last_message();
+
+  // A blocked transaction that itself blocks another: a waits-for chain
+  // that conservative locking cannot form.
+  capture.Reset();
+  b->blocked.push_back(c);
+  d.locking.CheckConsistency(3);
+  EXPECT_EQ(capture.count(), 1);
+  EXPECT_NE(capture.last_message().find("waits-for chain"), std::string::npos)
+      << capture.last_message();
+  b->blocked.clear();
+
+  // The holder completes: both waiters re-enter the pending queue.
+  capture.Reset();
+  d.locking.Retire(a, /*requeue_at_tail=*/true);
+  EXPECT_TRUE(d.locking.active().empty());
+  d.locking.CheckConsistency(/*live=*/2);
+  EXPECT_EQ(capture.count(), 0) << capture.last_message();
 }
 
 }  // namespace
