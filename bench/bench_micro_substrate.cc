@@ -14,7 +14,7 @@
 #include "lockmgr/waits_for.h"
 #include "model/conflict.h"
 #include "model/placement.h"
-#include "sim/priority_server.h"
+#include "sim/server_pool.h"
 #include "sim/stats.h"
 #include "sim/simulator.h"
 #include "util/random.h"
@@ -39,7 +39,8 @@ BENCHMARK(BM_EventScheduleAndRun)->Arg(1000)->Arg(10000);
 void BM_EventCancelChurn(benchmark::State& state) {
   // Schedule/cancel churn with a small live set: the generation-stamped
   // slab makes Cancel O(1) and compaction keeps the heap near the live
-  // count. This is the PriorityServer preemption pattern at full tilt.
+  // count. This is the pattern of an event source that keeps re-arming
+  // one pending event, as `ServerPool` does when its minimum changes.
   const int64_t batch = state.range(0);
   for (auto _ : state) {
     sim::Simulator sim;
@@ -86,14 +87,16 @@ void BM_PriorityServerThroughput(benchmark::State& state) {
   const int64_t jobs = state.range(0);
   for (auto _ : state) {
     sim::Simulator sim;
-    sim::PriorityServer server(&sim, "bench");
+    sim::ServerPool server(&sim, "bench", 1);
     for (int64_t i = 0; i < jobs; ++i) {
-      server.Submit(i % 3 == 0 ? sim::ServiceClass::kLock
-                               : sim::ServiceClass::kTransaction,
-                    0.5, [] {});
+      if (i % 3 == 0) {
+        server.SubmitShared(0.5, [] {});
+      } else {
+        server.Submit(0, 0.5, [] {});
+      }
     }
     sim.RunUntilEmpty();
-    benchmark::DoNotOptimize(server.TotalBusyTime());
+    benchmark::DoNotOptimize(server.TotalBusyTimeSum());
   }
   state.SetItemsProcessed(state.iterations() * jobs);
 }

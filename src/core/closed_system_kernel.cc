@@ -230,6 +230,10 @@ void ClosedSystemKernel::PublishRunProfile(double wall_seconds) {
   if (reg == nullptr) return;
   const double events = static_cast<double>(sim_.ExecutedEvents());
   reg->GetGauge("sim.events_executed")->Set(events);
+  reg->GetGauge("sim.events_scheduled")
+      ->Set(static_cast<double>(sim_.ScheduledEvents()));
+  reg->GetGauge("sim.events_cancelled")
+      ->Set(static_cast<double>(sim_.CancelledEvents()));
   reg->GetGauge("sim.observer_events")
       ->Set(static_cast<double>(sim_.ExecutedObserverEvents()));
   reg->GetGauge("sim.event_queue_hwm")

@@ -239,16 +239,12 @@ class ClosedSystemKernel {
   void ForkJoin(Owner* owner, Txn* txn, double io_share, double cpu_share) {
     txn->subtxns_remaining = txn->params.pu;
     for (int32_t node : txn->params.nodes) {
-      io_->node(node).Submit(
-          sim::ServiceClass::kTransaction, io_share,
-          [this, owner, txn, node, cpu_share] {
-            const double io_done = OnIoDone(txn, node);
-            cpu_->node(node).Submit(
-                sim::ServiceClass::kTransaction, cpu_share,
-                [this, owner, txn, node, io_done] {
-                  if (OnCpuDone(txn, node, io_done)) (owner->*kJoin)(txn);
-                });
-          });
+      io_->Submit(node, io_share, [this, owner, txn, node, cpu_share] {
+        const double io_done = OnIoDone(txn, node);
+        cpu_->Submit(node, cpu_share, [this, owner, txn, node, io_done] {
+          if (OnCpuDone(txn, node, io_done)) (owner->*kJoin)(txn);
+        });
+      });
     }
   }
 

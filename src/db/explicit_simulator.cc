@@ -12,16 +12,11 @@ using lockmgr::HierRequest;
 using lockmgr::LockMode;
 using lockmgr::LockRequest;
 using lockmgr::ObjectId;
-using sim::ServiceClass;
 
 /// One live transaction with its concrete lock set. The set is drawn once
 /// (a transaction's data needs do not change across retries); the lock
 /// *cost* is paid on every attempt, as in the paper.
 struct ExplicitSimulator::Txn : core::ConservativeTxn<Txn> {
-  // Fan-in for the current lock-processing phase (I/O, then CPU); the two
-  // phases never overlap, so one field serves both without allocating.
-  int64_t lock_fanin_remaining = 0;
-
   /// Granules this transaction locks (kFlat, or kHierarchical fine path).
   std::vector<int64_t> granules;
   /// True if this transaction takes one database-level lock instead.
@@ -33,7 +28,6 @@ struct ExplicitSimulator::Txn : core::ConservativeTxn<Txn> {
 
   void Reset() {
     ConservativeTxn::Reset();
-    lock_fanin_remaining = 0;
     granules.clear();
     coarse = false;
     mode = LockMode::kX;
@@ -179,12 +173,7 @@ void ExplicitSimulator::CheckConsistency() const {
     GRANULOCK_AUDIT_CHECK_EQ(hier_table_->Empty(), active.empty());
     hier_table_->CheckConsistency();
   }
-  // Lock phases fan out one kLock job per node (see StartLockIoPhase), so
-  // the pools' lock-epoch audit does not apply; each node audits itself.
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    kernel_.cpu().node(n).CheckConsistency();
-    kernel_.io().node(n).CheckConsistency();
-  }
+  kernel_.CheckConsistency();
 }
 
 void ExplicitSimulator::BeginLockRequest(Txn* txn) {
@@ -192,10 +181,9 @@ void ExplicitSimulator::BeginLockRequest(Txn* txn) {
   StartLockIoPhase(txn);
 }
 
-// Each lock phase is fanned out as one kLock job per node, whose last
-// completion moves on. It is not a `ServerPool::SubmitShared` lock epoch
-// because the per-node completion events are part of this engine's
-// pinned `events_executed`.
+// Each lock phase is a lock epoch that ends with one event per node, as
+// one kLock job per node would: the per-node completion events are part
+// of this engine's pinned `events_executed`.
 void ExplicitSimulator::StartLockIoPhase(Txn* txn) {
   const double per_node =
       txn->locks_set * cfg_.liotime / static_cast<double>(cfg_.npros);
@@ -203,12 +191,9 @@ void ExplicitSimulator::StartLockIoPhase(Txn* txn) {
     StartLockCpuPhase(txn);
     return;
   }
-  txn->lock_fanin_remaining = cfg_.npros;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    kernel_.io().node(n).Submit(ServiceClass::kLock, per_node, [this, txn] {
-      if (--txn->lock_fanin_remaining == 0) StartLockCpuPhase(txn);
-    });
-  }
+  kernel_.io().SubmitShared(
+      per_node, [this, txn] { StartLockCpuPhase(txn); },
+      sim::EpochEnd::kEventPerNode);
 }
 
 void ExplicitSimulator::StartLockCpuPhase(Txn* txn) {
@@ -218,12 +203,9 @@ void ExplicitSimulator::StartLockCpuPhase(Txn* txn) {
     FinishLockRequest(txn);
     return;
   }
-  txn->lock_fanin_remaining = cfg_.npros;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    kernel_.cpu().node(n).Submit(ServiceClass::kLock, per_node, [this, txn] {
-      if (--txn->lock_fanin_remaining == 0) FinishLockRequest(txn);
-    });
-  }
+  kernel_.cpu().SubmitShared(
+      per_node, [this, txn] { FinishLockRequest(txn); },
+      sim::EpochEnd::kEventPerNode);
 }
 
 namespace {

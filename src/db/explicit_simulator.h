@@ -100,10 +100,10 @@ class ExplicitSimulator {
   struct Txn;
 
   /// Deep audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): the lifecycle's audit, every
-  /// node server's own `CheckConsistency`, and the active lock table's
-  /// own `CheckConsistency` — every active transaction holds locks,
-  /// nobody else does.
+  /// `sim::invariants::DeepAuditEnabled()`): the lifecycle's audit, the
+  /// kernel's server-pool audits, and the active lock table's own
+  /// `CheckConsistency` — every active transaction holds locks, nobody
+  /// else does.
   void CheckConsistency() const;
 
   void Arrive();

@@ -12,7 +12,6 @@ namespace granulock::db {
 
 using lockmgr::LockMode;
 using lockmgr::LockRequest;
-using sim::ServiceClass;
 
 /// One in-flight transfer: debit `from`, credit `to` by `amount`. The
 /// balances read during the read phase are held in `read_from`/`read_to`
@@ -195,14 +194,14 @@ double TransferSimulator::ContentionSample(
 void TransferSimulator::StartReads(Txn* txn) {
   txn->phase_remaining = 2;
   const auto read = [this, txn](int64_t account, int64_t* slot) {
-    kernel_.io().node(store_->NodeOf(account)).Submit(
-        ServiceClass::kTransaction, cfg_.iotime,
-        [this, txn, account, slot] {
-          // The balance is captured at read-completion time; it can go
-          // stale before the write phase applies it.
-          *slot = store_->Read(account);
-          OnReadsDone(txn);
-        });
+    kernel_.io().Submit(store_->NodeOf(account), cfg_.iotime,
+                        [this, txn, account, slot] {
+                          // The balance is captured at read-completion
+                          // time; it can go stale before the write phase
+                          // applies it.
+                          *slot = store_->Read(account);
+                          OnReadsDone(txn);
+                        });
   };
   read(txn->from, &txn->read_from);
   read(txn->to, &txn->read_to);
@@ -212,21 +211,19 @@ void TransferSimulator::OnReadsDone(Txn* txn) {
   if (--txn->phase_remaining > 0) return;
   // Compute phase: validate and build the new balances on the debit
   // account's CPU.
-  kernel_.cpu().node(store_->NodeOf(txn->from)).Submit(
-      ServiceClass::kTransaction, 2.0 * cfg_.cputime,
-      [this, txn] { StartWrites(txn); });
+  kernel_.cpu().Submit(store_->NodeOf(txn->from), 2.0 * cfg_.cputime,
+                       [this, txn] { StartWrites(txn); });
 }
 
 void TransferSimulator::StartWrites(Txn* txn) {
   const auto write = [this, txn](int64_t account, int64_t value,
                                  int64_t delta) {
-    kernel_.io().node(store_->NodeOf(account)).Submit(
-        ServiceClass::kTransaction, cfg_.iotime,
-        [this, txn, account, value, delta] {
-          store_->Write(account, value);
-          net_applied_ += delta;
-          if (--txn->phase_remaining == 0) Complete(txn);
-        });
+    kernel_.io().Submit(store_->NodeOf(account), cfg_.iotime,
+                        [this, txn, account, value, delta] {
+                          store_->Write(account, value);
+                          net_applied_ += delta;
+                          if (--txn->phase_remaining == 0) Complete(txn);
+                        });
   };
   // Track the delta each applied write intends, so the integrity check
   // can net out transfers cut off mid-write by the simulation horizon.

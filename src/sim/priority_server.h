@@ -1,11 +1,11 @@
 #ifndef GRANULOCK_SIM_PRIORITY_SERVER_H_
 #define GRANULOCK_SIM_PRIORITY_SERVER_H_
 
+#include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 
-#include "sim/busy_union.h"
+#include "sim/inline_callback.h"
 #include "sim/simulator.h"
 
 namespace granulock::sim {
@@ -22,14 +22,17 @@ enum class ServiceClass {
 /// Number of distinct service classes (array sizing).
 inline constexpr int kNumServiceClasses = 2;
 
-/// A single-server queue with two priority classes and preemptive-resume
-/// discipline, used for both the CPU and the disk of every node.
+/// One node's CPU or disk: the state of a single-server queue with two
+/// priority classes and preemptive-resume discipline. Its `ServerPool`
+/// drives it and owns the one simulator event that ends its jobs; the
+/// server itself never schedules or cancels anything.
 ///
-/// * Within a class, jobs are served FCFS.
-/// * A kLock arrival preempts an in-service kTransaction job; the preempted
-///   job keeps its accumulated service and resumes (at the head of its
-///   class queue) once no lock work remains.
-/// * Zero-length jobs are legal and complete immediately (same timestamp).
+/// * Transaction jobs are served FCFS.
+/// * Lock work is the pool's shared lock job, one share per node. It
+///   preempts an in-service transaction job, which keeps its accumulated
+///   service and resumes ahead of every queued transaction job once no
+///   lock work remains.
+/// * Zero-length jobs are legal and complete at the same timestamp.
 ///
 /// The server keeps per-class busy-time accounting, which is exactly what
 /// the paper's `totcpus/lockcpus/totios/lockios` outputs aggregate.
@@ -39,16 +42,13 @@ class PriorityServer {
   /// events: submitting a job never heap-allocates for the callback.
   using Completion = InlineCallback;
 
-  /// Creates a server that schedules itself on `sim` (not owned; must
-  /// outlive the server). `name` is used in diagnostics only.
-  PriorityServer(Simulator* sim, std::string name);
+  /// A server reading the clock of `sim` (not owned; must outlive it).
+  /// `name` is used in diagnostics only. Only a `ServerPool` puts work
+  /// on it.
+  PriorityServer(const Simulator* sim, std::string name);
 
   PriorityServer(const PriorityServer&) = delete;
   PriorityServer& operator=(const PriorityServer&) = delete;
-
-  /// Enqueues a job demanding `service` (>= 0) time units in class `cls`;
-  /// `on_complete` fires when the job has received its full service.
-  void Submit(ServiceClass cls, SimTime service, Completion on_complete);
 
   /// Busy time delivered to class `cls` since construction (or the last
   /// `ResetStats`), including the in-progress portion of the current job.
@@ -60,27 +60,17 @@ class PriorityServer {
   /// Jobs fully served per class.
   uint64_t CompletedJobs(ServiceClass cls) const;
 
-  /// Zeroes all accounting; an in-progress job keeps its remaining demand
-  /// but its pre-reset service is no longer counted. Used to discard a
-  /// warmup interval.
-  void ResetStats();
-
-  /// Instantaneous queue length of class `cls` (excluding the in-service
-  /// job).
+  /// Instantaneous queue length of class `cls`, excluding the in-service
+  /// job. A transaction job preempted by lock work counts as queued.
   size_t QueueLength(ServiceClass cls) const;
 
   /// True iff a job is in service.
-  bool busy() const { return current_.has_value(); }
+  bool busy() const { return lock_ || has_txn_; }
 
   const std::string& name() const { return name_; }
 
-  /// Reports every busy-state change to `tracker` (not owned; may be null
-  /// to unwire): +1/-1 when the server becomes busy/idle, and likewise
-  /// for busy-on-lock-work. Must be set before the first `Submit`.
-  void SetBusyUnion(BusyUnionTracker* tracker) { busy_union_ = tracker; }
-
   /// FCFS queue conservation audit: every job ever submitted is finished,
-  /// queued, or in service (per class); the in-service job has
+  /// queued, or in service (per class); in-service and queued jobs have
   /// non-negative remaining demand; accounting never goes negative.
   /// Unlike `CompletedJobs`, the conservation counters survive
   /// `ResetStats`, so the law holds across warmup resets. Violations
@@ -89,48 +79,58 @@ class PriorityServer {
 
  private:
   friend struct AuditTestPeer;  // invariants_test corrupts state through it
-  friend class ServerPool;      // drives the lock-epoch hooks below
+  friend class ServerPool;      // the only driver of the hooks below
 
   struct Job {
-    ServiceClass cls;
     SimTime remaining;
     Completion on_complete;
   };
 
-  void StartNextIfIdle();
-  void BeginService(Job job);
-  void FinishCurrent();
-  /// Takes the in-service job out of service with full accounting and
-  /// returns its completion callback (the first half of `FinishCurrent`).
-  Completion RetireCurrent();
-  /// Lock-epoch hook: preempts in-service transaction work exactly as a
-  /// `kLock` arrival does and puts a `per_node` lock job in service, but
-  /// schedules no completion event — the owning pool's single epoch event
-  /// ends it through `RetireCurrent`.
-  void BeginEpoch(SimTime per_node);
-  /// Moves the in-service job back to the head of its queue, crediting the
-  /// service it received so far.
-  void PreemptCurrent();
-  int ClassIndex(ServiceClass cls) const { return static_cast<int>(cls); }
-  void NotifyTransition(bool entering, ServiceClass cls) {
-    if (busy_union_ == nullptr) return;
-    const int delta_any = entering ? 1 : -1;
-    const int delta_lock = cls == ServiceClass::kLock ? delta_any : 0;
-    busy_union_->Transition(sim_->Now(), delta_any, delta_lock);
-  }
+  static constexpr int kLockClass = static_cast<int>(ServiceClass::kLock);
+  static constexpr int kTxnClass =
+      static_cast<int>(ServiceClass::kTransaction);
 
-  Simulator* sim_;
+  /// True iff transaction work is in service (it has a completion due).
+  bool TxnInService() const { return has_txn_ && !lock_; }
+
+  /// Accepts a transaction job. Returns true iff it went into service at
+  /// once; its completion is then due at `now + service`.
+  bool AcceptTxn(SimTime now, SimTime service, Completion on_complete);
+  /// Ends the in-service transaction job and returns its callback. The
+  /// queue head, if any, goes into service (then `TxnInService()`).
+  Completion FinishTxn(SimTime now);
+  /// Puts a lock share in service, preempting in-service transaction work
+  /// with full accounting. Returns whether the node was busy before.
+  bool BeginShare(SimTime now);
+  /// Ends the lock share in service. With `next_share`, the next one
+  /// starts at once; otherwise transaction work resumes (the preempted job
+  /// first). Returns true iff transaction work is now in service; its
+  /// completion is due at `now + remaining()`.
+  bool EndShare(SimTime now, bool next_share);
+  /// Moves the first queued transaction job into the head slot.
+  void TakeQueueHead();
+  /// Demand left on the head transaction job (in service or preempted).
+  SimTime remaining() const { return txn_remaining_; }
+  /// Zeroes the windowed accounting; see `ServerPool::ResetStats`.
+  void ResetStats(SimTime now);
+
+  const Simulator* sim_;
   std::string name_;
-  std::deque<Job> queues_[kNumServiceClasses];
-  std::optional<Job> current_;
+  // The fields every lock epoch touches, kept together.
+  bool lock_ = false;     // a lock share is in service
+  bool has_txn_ = false;  // the head transaction job is held below
   SimTime service_start_ = 0.0;
-  EventId completion_event_ = 0;
-  BusyUnionTracker* busy_union_ = nullptr;
+  SimTime txn_remaining_ = 0.0;
   double busy_time_[kNumServiceClasses] = {0.0, 0.0};
   uint64_t completed_[kNumServiceClasses] = {0, 0};
   // Lifetime conservation counters (never reset; see CheckConsistency).
   uint64_t accepted_[kNumServiceClasses] = {0, 0};
   uint64_t finished_[kNumServiceClasses] = {0, 0};
+  /// The head transaction job's callback: in service unless `lock_`, in
+  /// which case it is preempted and resumes first.
+  Completion txn_done_;
+  /// Transaction jobs that have not started yet, FCFS.
+  std::deque<Job> queue_;
 };
 
 }  // namespace granulock::sim

@@ -43,15 +43,16 @@ void Simulator::ReleaseSlot(uint32_t index) {
   --live_count_;
 }
 
-EventId Simulator::Schedule(SimTime at, Callback callback, bool observer) {
+EventId Simulator::Schedule(SimTime at, uint64_t seq, Callback callback,
+                            bool observer) {
   GRANULOCK_CHECK_GE(at, now_) << "cannot schedule into the past";
+  if (!observer) ++scheduled_;
   const uint32_t index = AcquireSlot();
   slot_cb_[index] = std::move(callback);
   slot_flags_[index] =
       static_cast<uint8_t>(kLiveFlag | (observer ? kObserverFlag : 0));
   const uint64_t ref = MakeEventId(index, slot_gen_[index]);
   const uint64_t day = DayOf(at);
-  const uint64_t seq = next_seq_++;
   if (day <= bottom_day_ && bottom_day_ != kNoBottomDay) {
     // Imminent event: sorted-insert into the bottom so it pops in pure
     // (time, seq) order ahead of everything in the calendar. The bottom
@@ -73,7 +74,12 @@ EventId Simulator::Schedule(SimTime at, Callback callback, bool observer) {
 }
 
 EventId Simulator::ScheduleAt(SimTime at, Callback callback) {
-  return Schedule(at, std::move(callback), /*observer=*/false);
+  return Schedule(at, next_seq_++, std::move(callback), /*observer=*/false);
+}
+
+EventId Simulator::ScheduleAt(SimTime at, uint64_t seq, Callback callback) {
+  GRANULOCK_DCHECK_LT(seq, next_seq_) << "sequence number was never reserved";
+  return Schedule(at, seq, std::move(callback), /*observer=*/false);
 }
 
 EventId Simulator::ScheduleAfter(SimTime delay, Callback callback) {
@@ -82,7 +88,7 @@ EventId Simulator::ScheduleAfter(SimTime delay, Callback callback) {
 }
 
 EventId Simulator::ScheduleObserverAt(SimTime at, Callback callback) {
-  return Schedule(at, std::move(callback), /*observer=*/true);
+  return Schedule(at, next_seq_++, std::move(callback), /*observer=*/true);
 }
 
 EventId Simulator::ScheduleObserverAfter(SimTime delay, Callback callback) {
@@ -90,14 +96,17 @@ EventId Simulator::ScheduleObserverAfter(SimTime delay, Callback callback) {
   return ScheduleObserverAt(now_ + delay, std::move(callback));
 }
 
-void Simulator::Cancel(EventId id) {
+bool Simulator::IsPending(EventId id) const {
   const uint32_t index = static_cast<uint32_t>(id & 0xffffffffu);
-  const uint32_t generation = static_cast<uint32_t>(id >> 32);
-  if (index >= slot_gen_.size()) return;  // never scheduled
-  if ((slot_flags_[index] & kLiveFlag) == 0 ||
-      slot_gen_[index] != generation) {
-    return;  // already fired or cancelled (possibly reused since)
-  }
+  if (index >= slot_gen_.size()) return false;  // never scheduled
+  return !IsStaleRef(id);
+}
+
+void Simulator::Cancel(EventId id) {
+  // Already fired or cancelled (possibly reused since), or never scheduled.
+  if (!IsPending(id)) return;
+  const uint32_t index = static_cast<uint32_t>(id & 0xffffffffu);
+  if ((slot_flags_[index] & kObserverFlag) == 0) ++cancelled_;
   ReleaseSlot(index);
   // The queue entry referencing the old generation is now stale; it is
   // skipped (and pruned) when next encountered, or swept out by
@@ -399,6 +408,7 @@ void Simulator::CheckConsistency() const {
   size_t live_entries = 0;
   size_t stale_entries = 0;
   std::vector<uint8_t> seen(slot_gen_.size(), 0);
+  std::vector<uint64_t> live_seqs;
   GRANULOCK_AUDIT_CHECK_EQ(bucket_mask_ + 1, buckets_.size())
       << "bucket mask " << bucket_mask_ << " does not match "
       << buckets_.size() << " buckets";
@@ -424,6 +434,7 @@ void Simulator::CheckConsistency() const {
       GRANULOCK_AUDIT_CHECK(!seen[slot])
           << "slot " << slot << " has two live queue entries";
       seen[slot] = 1;
+      live_seqs.push_back(bucket.seq[i]);
       // The live minimum is the next event to fire; anything earlier than
       // the clock would have fired already (or time would run backwards).
       GRANULOCK_AUDIT_CHECK_GE(bucket.time[i], now_)
@@ -453,9 +464,12 @@ void Simulator::CheckConsistency() const {
         << "bottom entry at day " << DayOf(entry.time)
         << " is beyond bottom_day=" << bottom_day_;
     if (i + 1 < bottom_.size()) {
+      // Equal keys are legal: a reserved sequence number re-scheduled
+      // after a cancel sits beside its own stale entry (live entries have
+      // distinct numbers; see below).
       const CalEntry& next = bottom_[i + 1];
       GRANULOCK_AUDIT_CHECK(entry.time > next.time ||
-                            (entry.time == next.time && entry.seq > next.seq))
+                            (entry.time == next.time && entry.seq >= next.seq))
           << "bottom not sorted descending at index " << i;
     }
     if (IsStaleRef(entry.ref)) {
@@ -466,6 +480,7 @@ void Simulator::CheckConsistency() const {
     GRANULOCK_AUDIT_CHECK(!seen[slot])
         << "slot " << slot << " has two live queue entries";
     seen[slot] = 1;
+    live_seqs.push_back(entry.seq);
     GRANULOCK_AUDIT_CHECK_GE(entry.time, now_)
         << "pending event at " << entry.time << " is before now=" << now_;
   }
@@ -475,6 +490,18 @@ void Simulator::CheckConsistency() const {
   GRANULOCK_AUDIT_CHECK_EQ(live_entries, live_count_)
       << "live queue entries=" << live_entries << " but counter says "
       << live_count_;
+  // (time, seq) is a total order only while live sequence numbers are
+  // distinct. Numbers reserved through `ReserveSeq` and not (or no longer)
+  // scheduled leave gaps below `next_seq_`; that is expected.
+  std::sort(live_seqs.begin(), live_seqs.end());
+  for (size_t i = 0; i < live_seqs.size(); ++i) {
+    GRANULOCK_AUDIT_CHECK_LT(live_seqs[i], next_seq_)
+        << "pending event holds a sequence number never issued";
+    if (i > 0) {
+      GRANULOCK_AUDIT_CHECK_NE(live_seqs[i - 1], live_seqs[i])
+          << "two pending events share sequence number " << live_seqs[i];
+    }
+  }
   // Every slot is live (with a callback and a queue entry) or recycled.
   size_t live_slots = 0;
   for (size_t i = 0; i < slot_gen_.size(); ++i) {

@@ -84,6 +84,19 @@ class Simulator {
   /// Schedules `callback` to run `delay` (>= 0) time units from now.
   EventId ScheduleAfter(SimTime delay, Callback callback);
 
+  /// Draws the next insertion sequence number without scheduling anything.
+  /// A caller that stands in for several would-be events (see
+  /// `ServerPool`) reserves a number at each point where one of them
+  /// would have been scheduled, then schedules its one event with the
+  /// minimum through the overload below, so same-time ties keep the order
+  /// the individual events would have had. A reserved number may be
+  /// scheduled any number of times, or never.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// Schedules `callback` at absolute time `at` (>= Now()) with a
+  /// sequence number `seq` drawn earlier by `ReserveSeq`.
+  EventId ScheduleAt(SimTime at, uint64_t seq, Callback callback);
+
   /// Like `ScheduleAt`/`ScheduleAfter`, but the event is an *observer*: it
   /// may only read simulation state (metric sampling, progress hooks) and
   /// is excluded from `ExecutedEvents()`, so enabling observability does
@@ -96,6 +109,9 @@ class Simulator {
   /// fired (or was already cancelled) is a no-op: the id's generation no
   /// longer matches its slot, even if the slot has been reused.
   void Cancel(EventId id);
+
+  /// True iff `id` is scheduled and has neither fired nor been cancelled.
+  bool IsPending(EventId id) const;
 
   /// Runs the earliest pending event, advancing the clock to its timestamp.
   /// Returns false if no events remain.
@@ -125,6 +141,17 @@ class Simulator {
   uint64_t ExecutedEvents() const { return executed_; }
   uint64_t ExecutedObserverEvents() const { return observer_executed_; }
 
+  /// Lifetime scheduler cost counts: simulation events scheduled, and
+  /// pending simulation events cancelled. Like `ExecutedEvents`, they
+  /// leave observer events out, so observability does not change them.
+  /// They depend only on the run, not on the machine.
+  uint64_t ScheduledEvents() const { return scheduled_; }
+  uint64_t CancelledEvents() const { return cancelled_; }
+
+  /// Every sequence number below this one has been issued, to a scheduled
+  /// event or by `ReserveSeq`.
+  uint64_t NextSeq() const { return next_seq_; }
+
   /// High-water mark of the pending-event set (engine self-profiling:
   /// the event queue is the simulator's main memory consumer).
   size_t MaxPendingEvents() const { return max_pending_; }
@@ -134,7 +161,9 @@ class Simulator {
   /// in the bucket its day maps to and no live entry lies before the
   /// day cursor or the clock, stale entries are counted exactly, slots
   /// are either live or on the free list, and the pending count is
-  /// `entries - stale`. O(pending events); violations report through
+  /// `entries - stale`, and live entries carry distinct sequence numbers
+  /// below `NextSeq()` (reserved numbers never scheduled are gaps, not
+  /// errors). O(pending events); violations report through
   /// `invariants::Fail`.
   void CheckConsistency() const;
 
@@ -194,7 +223,8 @@ class Simulator {
   /// size).
   static constexpr size_t kSmallPullAll = 32;
 
-  EventId Schedule(SimTime at, Callback callback, bool observer);
+  EventId Schedule(SimTime at, uint64_t seq, Callback callback,
+                   bool observer);
 
   /// Maps a timestamp to its calendar day. Guarded against overflowing
   /// the uint64 cast for absurd time/width ratios.
@@ -262,6 +292,8 @@ class Simulator {
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   uint64_t observer_executed_ = 0;
+  uint64_t scheduled_ = 0;
+  uint64_t cancelled_ = 0;
   size_t max_pending_ = 0;
   size_t live_count_ = 0;
   size_t stale_count_ = 0;  // stale (cancelled) entries still in buckets

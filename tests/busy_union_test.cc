@@ -86,24 +86,24 @@ class ServerPoolUnionTest : public ::testing::Test {
 
 TEST_F(ServerPoolUnionTest, ParallelWorkCountsOnce) {
   // Both servers busy [0, 5]: union is 5, sum is 10.
-  pool_.node(0).Submit(ServiceClass::kTransaction, 5.0, [] {});
-  pool_.node(1).Submit(ServiceClass::kTransaction, 5.0, [] {});
+  pool_.Submit(0, 5.0, [] {});
+  pool_.Submit(1, 5.0, [] {});
   sim_.RunUntilEmpty();
   EXPECT_DOUBLE_EQ(tracker().AnyBusyTime(sim_.Now()), 5.0);
   EXPECT_DOUBLE_EQ(pool_.TotalBusyTimeSum(), 10.0);
 }
 
 TEST_F(ServerPoolUnionTest, StaggeredWorkUnionsCorrectly) {
-  pool_.node(0).Submit(ServiceClass::kTransaction, 2.0, [] {});  // [0,2]
+  pool_.Submit(0, 2.0, [] {});  // [0,2]
   sim_.ScheduleAt(1.0, [this] {
-    pool_.node(1).Submit(ServiceClass::kTransaction, 3.0, [] {});  // [1,4]
+    pool_.Submit(1, 3.0, [] {});  // [1,4]
   });
   sim_.RunUntilEmpty();
   EXPECT_DOUBLE_EQ(tracker().AnyBusyTime(sim_.Now()), 4.0);  // union [0,4]
 }
 
 TEST_F(ServerPoolUnionTest, PreemptionTransitionsStayBalanced) {
-  pool_.node(0).Submit(ServiceClass::kTransaction, 4.0, [] {});
+  pool_.Submit(0, 4.0, [] {});
   sim_.ScheduleAt(1.0, [this] { pool_.SubmitShared(2.0, [] {}); });
   sim_.RunUntilEmpty();
   // Busy continuously [0, 6]; lock portion [1, 3] on both servers.

@@ -34,16 +34,22 @@
 
 namespace granulock::sim {
 
-// Friend of Simulator and PriorityServer: exposes private state so the
-// corruption tests below can break invariants on purpose.
+// Friend of Simulator, PriorityServer and ServerPool: exposes private
+// state so the corruption tests below can break invariants on purpose.
 struct AuditTestPeer {
   static auto& StaleCount(Simulator& s) { return s.stale_count_; }
   static auto& Now(Simulator& s) { return s.now_; }
   static auto& MaxPending(Simulator& s) { return s.max_pending_; }
+  static auto& NextSeq(Simulator& s) { return s.next_seq_; }
   static auto& Accepted(PriorityServer& s) { return s.accepted_; }
   static auto& BusyTime(PriorityServer& s) { return s.busy_time_; }
-  static auto& Queues(PriorityServer& s) { return s.queues_; }
-  static auto& Current(PriorityServer& s) { return s.current_; }
+  static auto& Queue(PriorityServer& s) { return s.queue_; }
+  static auto& Lock(PriorityServer& s) { return s.lock_; }
+  static auto& ServiceStart(PriorityServer& s) { return s.service_start_; }
+  static PriorityServer& Node(ServerPool& p, int64_t i) {
+    return p.nodes_[static_cast<size_t>(i)];
+  }
+  static double& ArmedTime(ServerPool& p) { return p.armed_at_.time; }
 };
 
 }  // namespace granulock::sim
@@ -214,6 +220,33 @@ TEST(SimulatorAuditTest, FiresOnPendingEventInThePast) {
             std::string::npos);
 }
 
+TEST(SimulatorAuditTest, ReservedSequenceGapsPass) {
+  sim::Simulator s;
+  s.ScheduleAt(1.0, [] {});
+  const uint64_t reserved = s.ReserveSeq();
+  s.ReserveSeq();  // never scheduled: a gap
+  s.ScheduleAt(1.0, [] {});
+  s.ScheduleAt(1.0, reserved, [] {});
+
+  ScopedFailureCapture capture;
+  s.CheckConsistency();
+  EXPECT_EQ(capture.count(), 0);
+  s.RunUntilEmpty();
+  s.CheckConsistency();
+  EXPECT_EQ(capture.count(), 0);
+}
+
+TEST(SimulatorAuditTest, FiresOnPendingSeqNeverIssued) {
+  sim::Simulator s;
+  s.ScheduleAt(1.0, [] {});
+  s.ScheduleAt(2.0, [] {});
+  sim::AuditTestPeer::NextSeq(s) = 1;  // the second event's seq is "future"
+
+  ScopedFailureCapture capture;
+  s.CheckConsistency();
+  EXPECT_EQ(capture.count(), 1);
+}
+
 TEST(SimulatorAuditTest, FiresOnHighWaterMarkBelowPendingCount) {
   sim::Simulator s;
   s.ScheduleAt(1.0, [] {});
@@ -230,12 +263,11 @@ TEST(SimulatorAuditTest, FiresOnHighWaterMarkBelowPendingCount) {
 
 TEST(PriorityServerAuditTest, CleanServerPassesAcrossStatsReset) {
   sim::Simulator s;
-  sim::PriorityServer server(&s, "cpu0");
+  sim::ServerPool pool(&s, "cpu", 1);
+  const sim::PriorityServer& server = pool.node(0);
   int completions = 0;
-  server.Submit(sim::ServiceClass::kTransaction, 1.0,
-                [&completions] { ++completions; });
-  server.Submit(sim::ServiceClass::kLock, 0.5,
-                [&completions] { ++completions; });
+  pool.Submit(0, 1.0, [&completions] { ++completions; });
+  pool.SubmitShared(0.5, [&completions] { ++completions; });
 
   ScopedFailureCapture capture;
   server.CheckConsistency();
@@ -243,57 +275,59 @@ TEST(PriorityServerAuditTest, CleanServerPassesAcrossStatsReset) {
   EXPECT_EQ(completions, 2);
   server.CheckConsistency();
   // The conservation counters survive ResetStats — the law must still hold.
-  server.ResetStats();
+  pool.ResetStats();
   server.CheckConsistency();
+  pool.CheckConsistency();
   EXPECT_EQ(capture.count(), 0);
 }
 
 TEST(PriorityServerAuditTest, FiresOnLostJob) {
   sim::Simulator s;
-  sim::PriorityServer server(&s, "cpu0");
-  server.Submit(sim::ServiceClass::kTransaction, 1.0, [] {});
+  sim::ServerPool pool(&s, "cpu", 1);
+  pool.Submit(0, 1.0, [] {});
   // Pretend a second job was accepted that is nowhere to be found.
-  ++sim::AuditTestPeer::Accepted(server)[1];
+  ++sim::AuditTestPeer::Accepted(sim::AuditTestPeer::Node(pool, 0))[1];
 
   ScopedFailureCapture capture;
-  server.CheckConsistency();
+  pool.node(0).CheckConsistency();
   EXPECT_GT(capture.count(), 0);
 }
 
 TEST(PriorityServerAuditTest, FiresOnNegativeBusyTime) {
   sim::Simulator s;
-  sim::PriorityServer server(&s, "io0");
-  sim::AuditTestPeer::BusyTime(server)[0] = -1.0;
+  sim::ServerPool pool(&s, "io", 1);
+  sim::AuditTestPeer::BusyTime(sim::AuditTestPeer::Node(pool, 0))[0] = -1.0;
 
   ScopedFailureCapture capture;
-  server.CheckConsistency();
+  pool.node(0).CheckConsistency();
   EXPECT_GT(capture.count(), 0);
 }
 
 TEST(PriorityServerAuditTest, FiresOnNegativeQueuedDemand) {
   sim::Simulator s;
-  sim::PriorityServer server(&s, "cpu0");
-  server.Submit(sim::ServiceClass::kTransaction, 1.0, [] {});
-  server.Submit(sim::ServiceClass::kTransaction, 1.0, [] {});
-  auto& queue = sim::AuditTestPeer::Queues(server)[1];
+  sim::ServerPool pool(&s, "cpu", 1);
+  pool.Submit(0, 1.0, [] {});
+  pool.Submit(0, 1.0, [] {});
+  auto& queue = sim::AuditTestPeer::Queue(sim::AuditTestPeer::Node(pool, 0));
   ASSERT_FALSE(queue.empty());
   queue.front().remaining = -0.25;
 
   ScopedFailureCapture capture;
-  server.CheckConsistency();
+  pool.node(0).CheckConsistency();
   EXPECT_GT(capture.count(), 0);
 }
 
 // ---------------------------------------------------------------------------
-// ServerPool (lock epochs). Clean runs are audited throughout
-// server_pool_test's differential scenarios.
+// ServerPool (lock epochs and the pool event). Clean runs are audited
+// throughout server_pool_test's differential scenarios.
 
 TEST(ServerPoolAuditTest, FiresOnNodeServingADifferentShare) {
   sim::Simulator s;
   sim::ServerPool pool(&s, "io", 3);
-  pool.SubmitShared(1.0, [] {});
+  s.ScheduleAt(1.0, [&pool] { pool.SubmitShared(1.0, [] {}); });
+  s.RunUntil(1.5);
   // Node 2 alone drifts out of step; its own audit still passes.
-  sim::AuditTestPeer::Current(pool.node(2))->remaining = 0.75;
+  sim::AuditTestPeer::ServiceStart(sim::AuditTestPeer::Node(pool, 2)) = 1.25;
 
   ScopedFailureCapture capture;
   pool.node(2).CheckConsistency();
@@ -305,12 +339,34 @@ TEST(ServerPoolAuditTest, FiresOnNodeServingADifferentShare) {
 TEST(ServerPoolAuditTest, FiresOnPerNodeLockJob) {
   sim::Simulator s;
   sim::ServerPool pool(&s, "cpu", 2);
-  // Lock work submitted to one node bypasses the epoch.
-  pool.node(0).Submit(sim::ServiceClass::kLock, 1.0, [] {});
+  // Lock work in service on one node bypasses the epoch. The node's own
+  // conservation law still holds.
+  sim::PriorityServer& node = sim::AuditTestPeer::Node(pool, 0);
+  ++sim::AuditTestPeer::Accepted(node)[0];
+  sim::AuditTestPeer::Lock(node) = true;
+
+  ScopedFailureCapture capture;
+  node.CheckConsistency();
+  EXPECT_EQ(capture.count(), 0);
+  pool.CheckConsistency();
+  EXPECT_GT(capture.count(), 0);
+}
+
+TEST(ServerPoolAuditTest, FiresOnceOnPoolEventArmedAboveTheMinimum) {
+  sim::Simulator s;
+  sim::ServerPool pool(&s, "cpu", 3);
+  pool.Submit(0, 2.0, [] {});
+  pool.Submit(1, 1.0, [] {});
+  pool.Submit(2, 3.0, [] {});
 
   ScopedFailureCapture capture;
   pool.CheckConsistency();
-  EXPECT_GT(capture.count(), 0);
+  EXPECT_EQ(capture.count(), 0);
+  // The pool believes its event waits for node 0's completion, but node
+  // 1's is due first.
+  sim::AuditTestPeer::ArmedTime(pool) = 2.0;
+  pool.CheckConsistency();
+  EXPECT_EQ(capture.count(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -527,8 +583,8 @@ TEST_F(EngineAuditTest, ExplicitEngineAuditsEveryNodeServer) {
 
   // One disk loses a submitted job; only that node's own FCFS
   // conservation audit can see it.
-  ++sim::AuditTestPeer::Accepted(
-      db::AuditTestPeer::Disks(engine).node(cfg.npros - 1))[1];
+  ++sim::AuditTestPeer::Accepted(sim::AuditTestPeer::Node(
+      db::AuditTestPeer::Disks(engine), cfg.npros - 1))[1];
   db::AuditTestPeer::Check(engine);
   EXPECT_GT(capture.count(), 0);
 }

@@ -2,34 +2,48 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "sim/server_pool.h"
 #include "sim/simulator.h"
 
 namespace granulock::sim {
 namespace {
 
+// The server is node 0 of a 1-node pool, which owns its completion event:
+// transaction jobs go to node 0, and a lock job is a shared job whose one
+// share is the whole job.
 class PriorityServerTest : public ::testing::Test {
  protected:
+  void Submit(ServiceClass cls, double service, ServerPool::Completion done) {
+    if (cls == ServiceClass::kLock) {
+      pool_.SubmitShared(service, std::move(done));
+    } else {
+      pool_.Submit(0, service, std::move(done));
+    }
+  }
+  const PriorityServer& server() const { return pool_.node(0); }
+
   Simulator sim_;
-  PriorityServer server_{&sim_, "test"};
+  ServerPool pool_{&sim_, "test", 1};
 };
 
 TEST_F(PriorityServerTest, SingleJobCompletesAfterItsServiceTime) {
   double done_at = -1.0;
-  server_.Submit(ServiceClass::kTransaction, 2.5,
-                 [&] { done_at = sim_.Now(); });
+  Submit(ServiceClass::kTransaction, 2.5,
+         [&] { done_at = sim_.Now(); });
   sim_.RunUntilEmpty();
   EXPECT_DOUBLE_EQ(done_at, 2.5);
-  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 2.5);
-  EXPECT_EQ(server_.CompletedJobs(ServiceClass::kTransaction), 1u);
+  EXPECT_DOUBLE_EQ(server().BusyTime(ServiceClass::kTransaction), 2.5);
+  EXPECT_EQ(server().CompletedJobs(ServiceClass::kTransaction), 1u);
 }
 
 TEST_F(PriorityServerTest, FcfsWithinClass) {
   std::vector<int> order;
-  server_.Submit(ServiceClass::kTransaction, 1.0, [&] { order.push_back(1); });
-  server_.Submit(ServiceClass::kTransaction, 1.0, [&] { order.push_back(2); });
-  server_.Submit(ServiceClass::kTransaction, 1.0, [&] { order.push_back(3); });
+  Submit(ServiceClass::kTransaction, 1.0, [&] { order.push_back(1); });
+  Submit(ServiceClass::kTransaction, 1.0, [&] { order.push_back(2); });
+  Submit(ServiceClass::kTransaction, 1.0, [&] { order.push_back(3); });
   sim_.RunUntilEmpty();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim_.Now(), 3.0);
@@ -37,27 +51,27 @@ TEST_F(PriorityServerTest, FcfsWithinClass) {
 
 TEST_F(PriorityServerTest, LockJobPreemptsTransactionJob) {
   double txn_done = -1.0, lock_done = -1.0;
-  server_.Submit(ServiceClass::kTransaction, 4.0,
-                 [&] { txn_done = sim_.Now(); });
+  Submit(ServiceClass::kTransaction, 4.0,
+         [&] { txn_done = sim_.Now(); });
   // Arrives at t=1 while the transaction job is in service.
   sim_.ScheduleAt(1.0, [&] {
-    server_.Submit(ServiceClass::kLock, 2.0, [&] { lock_done = sim_.Now(); });
+    Submit(ServiceClass::kLock, 2.0, [&] { lock_done = sim_.Now(); });
   });
   sim_.RunUntilEmpty();
   EXPECT_DOUBLE_EQ(lock_done, 3.0);  // 1.0 arrival + 2.0 service
   // Preemptive-resume: the txn received 1.0 of 4.0 before preemption, so
   // it finishes 3.0 after the lock job: at t = 6.0.
   EXPECT_DOUBLE_EQ(txn_done, 6.0);
-  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kLock), 2.0);
-  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 4.0);
+  EXPECT_DOUBLE_EQ(server().BusyTime(ServiceClass::kLock), 2.0);
+  EXPECT_DOUBLE_EQ(server().BusyTime(ServiceClass::kTransaction), 4.0);
 }
 
 TEST_F(PriorityServerTest, LockJobsDoNotPreemptEachOther) {
   std::vector<double> done;
-  server_.Submit(ServiceClass::kLock, 2.0, [&] { done.push_back(sim_.Now()); });
+  Submit(ServiceClass::kLock, 2.0, [&] { done.push_back(sim_.Now()); });
   sim_.ScheduleAt(1.0, [&] {
-    server_.Submit(ServiceClass::kLock, 2.0,
-                   [&] { done.push_back(sim_.Now()); });
+    Submit(ServiceClass::kLock, 2.0,
+           [&] { done.push_back(sim_.Now()); });
   });
   sim_.RunUntilEmpty();
   ASSERT_EQ(done.size(), 2u);
@@ -67,9 +81,9 @@ TEST_F(PriorityServerTest, LockJobsDoNotPreemptEachOther) {
 
 TEST_F(PriorityServerTest, TransactionWaitsForQueuedLockWork) {
   std::vector<int> order;
-  server_.Submit(ServiceClass::kLock, 1.0, [&] { order.push_back(1); });
-  server_.Submit(ServiceClass::kLock, 1.0, [&] { order.push_back(2); });
-  server_.Submit(ServiceClass::kTransaction, 1.0, [&] { order.push_back(3); });
+  Submit(ServiceClass::kLock, 1.0, [&] { order.push_back(1); });
+  Submit(ServiceClass::kLock, 1.0, [&] { order.push_back(2); });
+  Submit(ServiceClass::kTransaction, 1.0, [&] { order.push_back(3); });
   sim_.RunUntilEmpty();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -77,8 +91,8 @@ TEST_F(PriorityServerTest, TransactionWaitsForQueuedLockWork) {
 TEST_F(PriorityServerTest, ZeroServiceJobCompletesImmediately) {
   double done_at = -1.0;
   sim_.ScheduleAt(2.0, [&] {
-    server_.Submit(ServiceClass::kTransaction, 0.0,
-                   [&] { done_at = sim_.Now(); });
+    Submit(ServiceClass::kTransaction, 0.0,
+           [&] { done_at = sim_.Now(); });
   });
   sim_.RunUntilEmpty();
   EXPECT_DOUBLE_EQ(done_at, 2.0);
@@ -86,57 +100,57 @@ TEST_F(PriorityServerTest, ZeroServiceJobCompletesImmediately) {
 
 TEST_F(PriorityServerTest, RepeatedPreemptionAccumulatesCorrectly) {
   double txn_done = -1.0;
-  server_.Submit(ServiceClass::kTransaction, 3.0,
-                 [&] { txn_done = sim_.Now(); });
+  Submit(ServiceClass::kTransaction, 3.0,
+         [&] { txn_done = sim_.Now(); });
   // Three lock bursts at t=1, 3, 5, each of length 1.
   for (double t : {1.0, 3.0, 5.0}) {
     sim_.ScheduleAt(t, [&] {
-      server_.Submit(ServiceClass::kLock, 1.0, [] {});
+      Submit(ServiceClass::kLock, 1.0, [] {});
     });
   }
   sim_.RunUntilEmpty();
   // Txn receives: [0,1) + [2,3) + [4,5) = 3 units -> finishes at 6.
   EXPECT_DOUBLE_EQ(txn_done, 6.0);
-  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kLock), 3.0);
-  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 3.0);
+  EXPECT_DOUBLE_EQ(server().BusyTime(ServiceClass::kLock), 3.0);
+  EXPECT_DOUBLE_EQ(server().BusyTime(ServiceClass::kTransaction), 3.0);
 }
 
 TEST_F(PriorityServerTest, BusyTimeIncludesInProgressService) {
-  server_.Submit(ServiceClass::kTransaction, 10.0, [] {});
+  Submit(ServiceClass::kTransaction, 10.0, [] {});
   sim_.RunUntil(4.0);
-  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 4.0);
-  EXPECT_TRUE(server_.busy());
+  EXPECT_DOUBLE_EQ(server().BusyTime(ServiceClass::kTransaction), 4.0);
+  EXPECT_TRUE(server().busy());
 }
 
 TEST_F(PriorityServerTest, ResetStatsDropsHistoryButKeepsJob) {
   double done_at = -1.0;
-  server_.Submit(ServiceClass::kTransaction, 10.0,
-                 [&] { done_at = sim_.Now(); });
+  Submit(ServiceClass::kTransaction, 10.0,
+         [&] { done_at = sim_.Now(); });
   sim_.RunUntil(4.0);
-  server_.ResetStats();
-  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 0.0);
+  pool_.ResetStats();
+  EXPECT_DOUBLE_EQ(server().BusyTime(ServiceClass::kTransaction), 0.0);
   sim_.RunUntilEmpty();
   EXPECT_DOUBLE_EQ(done_at, 10.0);  // completion unaffected
   // Post-reset busy time covers only [4, 10].
-  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 6.0);
+  EXPECT_DOUBLE_EQ(server().BusyTime(ServiceClass::kTransaction), 6.0);
 }
 
 TEST_F(PriorityServerTest, QueueLengthExcludesInService) {
-  server_.Submit(ServiceClass::kTransaction, 5.0, [] {});
-  server_.Submit(ServiceClass::kTransaction, 5.0, [] {});
-  server_.Submit(ServiceClass::kLock, 5.0, [] {});
+  Submit(ServiceClass::kTransaction, 5.0, [] {});
+  Submit(ServiceClass::kTransaction, 5.0, [] {});
+  Submit(ServiceClass::kLock, 5.0, [] {});
   // The lock job preempted the first txn job: it is in service, the two
   // txn jobs wait (the preempted one at the head).
-  EXPECT_EQ(server_.QueueLength(ServiceClass::kTransaction), 2u);
-  EXPECT_EQ(server_.QueueLength(ServiceClass::kLock), 0u);
+  EXPECT_EQ(server().QueueLength(ServiceClass::kTransaction), 2u);
+  EXPECT_EQ(server().QueueLength(ServiceClass::kLock), 0u);
 }
 
 TEST_F(PriorityServerTest, CompletionCallbackMaySubmitMoreWork) {
   std::vector<double> done;
-  server_.Submit(ServiceClass::kTransaction, 1.0, [&] {
+  Submit(ServiceClass::kTransaction, 1.0, [&] {
     done.push_back(sim_.Now());
-    server_.Submit(ServiceClass::kTransaction, 2.0,
-                   [&] { done.push_back(sim_.Now()); });
+    Submit(ServiceClass::kTransaction, 2.0,
+           [&] { done.push_back(sim_.Now()); });
   });
   sim_.RunUntilEmpty();
   ASSERT_EQ(done.size(), 2u);
@@ -145,10 +159,10 @@ TEST_F(PriorityServerTest, CompletionCallbackMaySubmitMoreWork) {
 }
 
 TEST_F(PriorityServerTest, TotalBusyTimeSumsClasses) {
-  server_.Submit(ServiceClass::kLock, 1.5, [] {});
-  server_.Submit(ServiceClass::kTransaction, 2.5, [] {});
+  Submit(ServiceClass::kLock, 1.5, [] {});
+  Submit(ServiceClass::kTransaction, 2.5, [] {});
   sim_.RunUntilEmpty();
-  EXPECT_DOUBLE_EQ(server_.TotalBusyTime(), 4.0);
+  EXPECT_DOUBLE_EQ(server().TotalBusyTime(), 4.0);
 }
 
 }  // namespace

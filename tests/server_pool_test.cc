@@ -1,19 +1,26 @@
-// Differential test of lock epochs: every seeded scenario runs twice on a
-// fresh simulator, once with each shared lock job fanned out as one
-// `Submit(kLock, ...)` per node (the model as the paper states it) and once
-// through `ServerPool::SubmitShared`. Everything observable must be
-// bit-identical; only the executed-event count may differ, by exactly
-// npros - 1 per completed shared job.
+// Differential test of pool-level completions and lock epochs. Every
+// seeded scenario runs twice on a fresh simulator: once on `ServerPool`,
+// and once on an independent reference written here, a per-node
+// preemptive-resume server that schedules and cancels one `Simulator`
+// event per job and serves each shared lock job as one `kLock` job per
+// node. Everything observable must be bit-identical, including where
+// test-owned probe events fall among the completions; only the
+// executed-event count may differ, by exactly npros - 1 per completed
+// one-event shared job.
 
 #include "sim/server_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/busy_union.h"
 #include "sim/invariants.h"
 #include "sim/simulator.h"
 #include "util/random.h"
@@ -21,15 +28,115 @@
 namespace granulock::sim {
 namespace {
 
+// The reference: one node's server, scheduling its own completion event.
+// Same discipline and accounting as the pool, including `ResetStats`
+// keeping the in-service job's remaining demand.
+class RefServer {
+ public:
+  RefServer(Simulator* sim, BusyUnionTracker* tracker)
+      : sim_(sim), union_(tracker) {}
+
+  void Submit(ServiceClass cls, double service, InlineCallback done) {
+    const int c = static_cast<int>(cls);
+    queues_[c].push_back(Job{cls, service, std::move(done)});
+    if (current_.has_value()) {
+      if (cls == ServiceClass::kLock &&
+          current_->cls == ServiceClass::kTransaction) {
+        // Preemptive-resume: back to the head of its queue, minus the
+        // service received.
+        sim_->Cancel(event_);
+        Job job = Leave();
+        const int t = static_cast<int>(job.cls);
+        job.remaining -= sim_->Now() - start_;
+        if (job.remaining < 0.0) job.remaining = 0.0;
+        queues_[t].push_front(std::move(job));
+        StartNext();
+      }
+      return;
+    }
+    StartNext();
+  }
+
+  double BusyTime(ServiceClass cls) const {
+    double t = busy_[static_cast<int>(cls)];
+    if (current_.has_value() && current_->cls == cls) {
+      t += sim_->Now() - start_;
+    }
+    return t;
+  }
+  uint64_t CompletedJobs(ServiceClass cls) const {
+    return done_[static_cast<int>(cls)];
+  }
+  size_t QueueLength(ServiceClass cls) const {
+    return queues_[static_cast<int>(cls)].size();
+  }
+  void ResetStats() {
+    busy_[0] = busy_[1] = 0.0;
+    done_[0] = done_[1] = 0;
+    if (current_.has_value()) start_ = sim_->Now();
+  }
+
+ private:
+  struct Job {
+    ServiceClass cls;
+    double remaining;
+    InlineCallback done;
+  };
+
+  void StartNext() {
+    for (std::deque<Job>& queue : queues_) {
+      if (queue.empty()) continue;
+      current_ = std::move(queue.front());
+      queue.pop_front();
+      Transition(+1);
+      start_ = sim_->Now();
+      event_ = sim_->ScheduleAfter(current_->remaining, [this] { Finish(); });
+      return;
+    }
+  }
+
+  void Finish() {
+    ++done_[static_cast<int>(current_->cls)];
+    InlineCallback done = std::move(Leave().done);
+    StartNext();
+    if (done) done();
+  }
+
+  // Takes the in-service job out of service, crediting its busy time.
+  Job Leave() {
+    busy_[static_cast<int>(current_->cls)] += sim_->Now() - start_;
+    Transition(-1);
+    Job job = std::move(*current_);
+    current_.reset();
+    return job;
+  }
+
+  void Transition(int delta) {
+    union_->Transition(sim_->Now(), delta,
+                       current_->cls == ServiceClass::kLock ? delta : 0);
+  }
+
+  Simulator* sim_;
+  BusyUnionTracker* union_;
+  std::deque<Job> queues_[kNumServiceClasses];
+  std::optional<Job> current_;
+  double start_ = 0.0;
+  EventId event_ = 0;
+  double busy_[kNumServiceClasses] = {0.0, 0.0};
+  uint64_t done_[kNumServiceClasses] = {0, 0};
+};
+
 // One scripted action. A follow-up runs inside the completion callback of
 // the job it is attached to, so it lands at the exact instant that job
 // (for a shared job: its whole epoch) ends.
 struct Action {
-  enum Kind { kTxn, kShared, kReset };
+  // kShared ends with one event; kFanOut is the explicit engine's lock
+  // phase, one kLock completion per node.
+  enum Kind { kTxn, kShared, kFanOut, kReset };
   Kind kind = kTxn;
   double at = 0.0;       // top-level actions only
   int64_t node = 0;      // kTxn
-  double service = 0.0;  // kTxn: demand; kShared: per-node share
+  double service = 0.0;  // kTxn: demand; kShared, kFanOut: per-node share
   int follow_up = -1;    // index into Scenario::follow_ups, or -1
 };
 
@@ -56,7 +163,7 @@ double Draw(Rng& rng, double max) {
 Action RandomJob(Rng& rng, int64_t npros) {
   Action a;
   if (rng.Bernoulli(0.45)) {
-    a.kind = Action::kShared;
+    a.kind = rng.Bernoulli(0.3) ? Action::kFanOut : Action::kShared;
     a.service = rng.Bernoulli(0.1) ? 0.0 : Draw(rng, 1.5);
   } else {
     a.kind = Action::kTxn;
@@ -96,8 +203,8 @@ Scenario MakeScenario(int64_t npros, uint64_t seed) {
   return s;
 }
 
-// A completion: the job's id (action index, or actions.size() plus the
-// follow-up index) and its timestamp.
+// A firing: a job's id (action index, or actions.size() plus the
+// follow-up index) or a probe's (kProbeId plus its number), and its time.
 struct Logged {
   size_t id;
   double time;
@@ -105,6 +212,7 @@ struct Logged {
     return id == o.id && time == o.time;
   }
 };
+constexpr size_t kProbeId = 1000000;
 
 struct Outcome {
   std::vector<Logged> log;
@@ -113,18 +221,25 @@ struct Outcome {
   std::vector<size_t> txn_queued;
   double any_busy = 0.0, lock_union = 0.0;
   uint64_t events = 0;
-  uint64_t shared_completed = 0;
+  uint64_t shared_completed = 0;  // kShared jobs only
   int audit_failures = 0;
 };
 
-// Runs one scenario; `pooled` picks SubmitShared over the per-node fan-out.
+// Runs one scenario on the pool or on the reference.
 class Harness {
  public:
   Harness(const Scenario& s, bool pooled)
-      : s_(s), pooled_(pooled), pool_(&sim_, "n", s.npros) {}
+      : s_(s), pooled_(pooled), pool_(&sim_, "n", s.npros) {
+    for (int64_t n = 0; n < s.npros; ++n) {
+      ref_.emplace_back(&sim_, &ref_union_);
+    }
+  }
 
   Outcome Run() {
     invariants::ScopedFailureCapture capture;
+    // Probes at every multiple of 0.25, scheduled first: each falls
+    // before whatever is scheduled later for its instant.
+    for (int k = 0; k * 0.25 <= s_.horizon; ++k) Probe(k * 0.25);
     for (size_t i = 0; i < s_.actions.size(); ++i) {
       sim_.ScheduleAt(s_.actions[i].at,
                       [this, i] { Perform(s_.actions[i], i); });
@@ -134,15 +249,16 @@ class Harness {
     Outcome out;
     out.log = std::move(log_);
     for (int64_t n = 0; n < s_.npros; ++n) {
-      const PriorityServer& node = pool_.node(n);
-      out.lock_busy.push_back(node.BusyTime(ServiceClass::kLock));
-      out.txn_busy.push_back(node.BusyTime(ServiceClass::kTransaction));
-      out.lock_done.push_back(node.CompletedJobs(ServiceClass::kLock));
-      out.txn_done.push_back(node.CompletedJobs(ServiceClass::kTransaction));
-      out.txn_queued.push_back(node.QueueLength(ServiceClass::kTransaction));
+      out.lock_busy.push_back(BusyTime(n, ServiceClass::kLock));
+      out.txn_busy.push_back(BusyTime(n, ServiceClass::kTransaction));
+      out.lock_done.push_back(Completed(n, ServiceClass::kLock));
+      out.txn_done.push_back(Completed(n, ServiceClass::kTransaction));
+      out.txn_queued.push_back(TxnQueued(n));
     }
-    out.any_busy = pool_.busy_union().AnyBusyTime(sim_.Now());
-    out.lock_union = pool_.busy_union().LockBusyTime(sim_.Now());
+    const BusyUnionTracker& tracker =
+        pooled_ ? pool_.busy_union() : ref_union_;
+    out.any_busy = tracker.AnyBusyTime(sim_.Now());
+    out.lock_union = tracker.LockBusyTime(sim_.Now());
     out.events = sim_.ExecutedEvents();
     out.shared_completed = shared_completed_;
     out.audit_failures = capture.count();
@@ -150,26 +266,46 @@ class Harness {
   }
 
  private:
+  void Probe(double at) {
+    const size_t id = kProbeId + probes_++;
+    sim_.ScheduleAt(at, [this, id] { log_.push_back({id, sim_.Now()}); });
+  }
+
   void Perform(const Action& a, size_t id) {
     switch (a.kind) {
       case Action::kReset:
-        pool_.ResetStats();
+        if (pooled_) {
+          pool_.ResetStats();
+        } else {
+          for (RefServer& node : ref_) node.ResetStats();
+          ref_union_.ResetWindow(sim_.Now());
+        }
         break;
       case Action::kTxn:
-        pool_.node(a.node).Submit(ServiceClass::kTransaction, a.service,
-                                  [this, a, id] { Done(a, id); });
+        if (pooled_) {
+          pool_.Submit(a.node, a.service, [this, a, id] { Done(a, id); });
+        } else {
+          ref_[static_cast<size_t>(a.node)].Submit(
+              ServiceClass::kTransaction, a.service,
+              [this, a, id] { Done(a, id); });
+        }
         break;
       case Action::kShared:
+      case Action::kFanOut:
         if (pooled_) {
-          pool_.SubmitShared(a.service, [this, a, id] { Done(a, id); });
+          pool_.SubmitShared(a.service, [this, a, id] { Done(a, id); },
+                             a.kind == Action::kShared
+                                 ? EpochEnd::kOneEvent
+                                 : EpochEnd::kEventPerNode);
         } else {
-          // The per-node fan-out: the last node's completion is the job's.
+          // One kLock job per node; the last node's completion is the
+          // job's.
           auto remaining = std::make_shared<int64_t>(s_.npros);
-          for (int64_t n = 0; n < s_.npros; ++n) {
-            pool_.node(n).Submit(ServiceClass::kLock, a.service,
-                                 [this, a, id, remaining] {
-                                   if (--*remaining == 0) Done(a, id);
-                                 });
+          for (RefServer& node : ref_) {
+            node.Submit(ServiceClass::kLock, a.service,
+                        [this, a, id, remaining] {
+                          if (--*remaining == 0) Done(a, id);
+                        });
           }
         }
         break;
@@ -181,23 +317,44 @@ class Harness {
     log_.push_back({id, sim_.Now()});
     if (a.kind == Action::kShared) ++shared_completed_;
     Audit();
+    // A probe scheduled mid-run draws its sequence number among the
+    // pool's reservations, so the log checks their interleaving too.
+    const double next_quarter = 0.25 * std::ceil(sim_.Now() * 4.0);
+    Probe(next_quarter + 0.25 * static_cast<double>(id % 3));
     if (a.follow_up >= 0) {
       const size_t f = static_cast<size_t>(a.follow_up);
       Perform(s_.follow_ups[f], s_.actions.size() + f);
     }
   }
 
-  // The pool audit only holds for pooled runs: the fan-out submits lock
-  // work per node, which is exactly what it reports.
   void Audit() const {
-    if (pooled_) pool_.CheckConsistency();
+    if (!pooled_) return;
+    pool_.CheckConsistency();
+    sim_.CheckConsistency();
+  }
+
+  double BusyTime(int64_t n, ServiceClass cls) const {
+    return pooled_ ? pool_.node(n).BusyTime(cls)
+                   : ref_[static_cast<size_t>(n)].BusyTime(cls);
+  }
+  uint64_t Completed(int64_t n, ServiceClass cls) const {
+    return pooled_ ? pool_.node(n).CompletedJobs(cls)
+                   : ref_[static_cast<size_t>(n)].CompletedJobs(cls);
+  }
+  size_t TxnQueued(int64_t n) const {
+    const ServiceClass txn = ServiceClass::kTransaction;
+    return pooled_ ? pool_.node(n).QueueLength(txn)
+                   : ref_[static_cast<size_t>(n)].QueueLength(txn);
   }
 
   const Scenario& s_;
   const bool pooled_;
   Simulator sim_;
   ServerPool pool_;
+  BusyUnionTracker ref_union_;
+  std::deque<RefServer> ref_;
   std::vector<Logged> log_;
+  size_t probes_ = 0;
   uint64_t shared_completed_ = 0;
 };
 
@@ -214,8 +371,8 @@ TEST_P(ServerPoolDifferentialTest, LockEpochsMatchPerNodeFanOutBitForBit) {
     ASSERT_EQ(fan.log.size(), pool.log.size());
     for (size_t i = 0; i < fan.log.size(); ++i) {
       ASSERT_EQ(fan.log[i], pool.log[i])
-          << "completion " << i << ": job " << fan.log[i].id << "@"
-          << fan.log[i].time << " vs job " << pool.log[i].id << "@"
+          << "firing " << i << ": " << fan.log[i].id << "@"
+          << fan.log[i].time << " vs " << pool.log[i].id << "@"
           << pool.log[i].time;
     }
     EXPECT_EQ(fan.lock_busy, pool.lock_busy);
@@ -241,8 +398,7 @@ TEST(ServerPoolTest, SharedJobPreemptsEveryNodeWithOneEvent) {
   Simulator sim;
   ServerPool pool(&sim, "cpu", 3);
   double txn_done = -1.0, lock_done = -1.0;
-  pool.node(1).Submit(ServiceClass::kTransaction, 4.0,
-                      [&] { txn_done = sim.Now(); });
+  pool.Submit(1, 4.0, [&] { txn_done = sim.Now(); });
   sim.ScheduleAt(1.0, [&] {
     pool.SubmitShared(2.0, [&] { lock_done = sim.Now(); });
   });
@@ -255,6 +411,25 @@ TEST(ServerPoolTest, SharedJobPreemptsEveryNodeWithOneEvent) {
   }
   // Scheduling action, epoch end, the preempted txn's resumed completion.
   EXPECT_EQ(sim.ExecutedEvents(), 3u);
+}
+
+TEST(ServerPoolTest, EpochCostsOneCancelAndOneScheduleWhateverTheNodeCount) {
+  Simulator sim;
+  ServerPool pool(&sim, "cpu", 16);
+  for (int64_t n = 0; n < 16; ++n) pool.Submit(n, 4.0 + 0.25 * n, [] {});
+  const uint64_t scheduled = sim.ScheduledEvents();
+  const uint64_t cancelled = sim.CancelledEvents();
+  pool.SubmitShared(1.0, [] {});
+  EXPECT_EQ(sim.ScheduledEvents() - scheduled, 1u);
+  EXPECT_EQ(sim.CancelledEvents() - cancelled, 1u);
+  // The epoch's end resumes all 16 nodes and re-arms once.
+  sim.Step();
+  EXPECT_EQ(sim.Now(), 1.0);
+  EXPECT_EQ(sim.ScheduledEvents() - scheduled, 2u);
+  sim.RunUntilEmpty();
+  EXPECT_EQ(sim.ExecutedEvents(), 17u);
+  EXPECT_EQ(sim.ScheduledEvents() - scheduled, 17u);
+  EXPECT_EQ(sim.CancelledEvents() - cancelled, 1u);
 }
 
 TEST(ServerPoolTest, NegativeShareIsRejected) {
